@@ -9,9 +9,10 @@
 //     speed sinks to the model floor of 1 WHILE its load migrates to the
 //     neighboring nodes (migration on leave), one atomic event per round,
 //  3. the drain makes the network homogeneous, so the operator's spectrum
-//     moves too: the β re-optimization policy re-runs the (cached, then
-//     invalidated) power iteration the round the total speed crosses the
-//     drift threshold and installs the post-drain β_opt in place,
+//     moves too: the β re-optimization policy re-runs the power iteration
+//     the round the total speed crosses the drift threshold and installs
+//     the post-drain β_opt in place (a recently seen speed vector would
+//     reuse its λ bit for bit),
 //  4. the re-arming adaptive policy ("adaptive:16:64:10") re-arms SOS as
 //     the evacuated load inflates the speed-normalized local difference.
 //

@@ -77,6 +77,32 @@ func (sp *Speeds) Len() int {
 	return int(sp.sum)
 }
 
+// Equal reports whether sp and o hold the same speed vector, bit for bit.
+// The same pointer is equal without a scan and two homogeneous vectors
+// compare by length; otherwise the entries are compared by their bits. New
+// turns an all-ones vector into a homogeneous one, so a homogeneous vector
+// never equals an explicit one. A nil Speeds equals only nil.
+func (sp *Speeds) Equal(o *Speeds) bool {
+	if sp == o {
+		return true
+	}
+	if sp == nil || o == nil {
+		return false
+	}
+	if sp.s == nil || o.s == nil {
+		return sp.s == nil && o.s == nil && sp.Len() == o.Len()
+	}
+	if len(sp.s) != len(o.s) {
+		return false
+	}
+	for i, v := range sp.s {
+		if math.Float64bits(v) != math.Float64bits(o.s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // IsHomogeneous reports whether every speed equals 1.
 func (sp *Speeds) IsHomogeneous() bool { return sp == nil || sp.homog }
 

@@ -77,6 +77,44 @@ func TestNewCopiesInput(t *testing.T) {
 	}
 }
 
+func TestSpeedsEqual(t *testing.T) {
+	mustNew := func(v ...float64) *Speeds {
+		t.Helper()
+		sp, err := New(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	a := mustNew(1, 2, 3.5)
+	next := math.Nextafter(3.5, 4)
+	cases := []struct {
+		name string
+		x, y *Speeds
+		want bool
+	}{
+		{"same pointer", a, a, true},
+		{"same content", a, mustNew(1, 2, 3.5), true},
+		{"last entry one ulp apart", a, mustNew(1, 2, next), false},
+		{"first entry differs", a, mustNew(2, 2, 3.5), false},
+		{"different length", a, mustNew(1, 2, 3.5, 1), false},
+		{"homogeneous, same length", Homogeneous(3), Homogeneous(3), true},
+		{"homogeneous, different length", Homogeneous(3), Homogeneous(4), false},
+		{"all-ones vector is homogeneous", mustNew(1, 1, 1), Homogeneous(3), true},
+		{"homogeneous vs explicit", Homogeneous(3), a, false},
+		{"nil vs nil", nil, nil, true},
+		{"nil vs homogeneous", nil, Homogeneous(3), false},
+	}
+	for _, c := range cases {
+		if got := c.x.Equal(c.y); got != c.want {
+			t.Errorf("%s: x.Equal(y) = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.y.Equal(c.x); got != c.want {
+			t.Errorf("%s: y.Equal(x) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestIdealLoad(t *testing.T) {
 	sp, err := New([]float64{1, 3})
 	if err != nil {

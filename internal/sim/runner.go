@@ -327,10 +327,12 @@ type Runner struct {
 	Scenario *scenario.Scenario
 	// BetaReopt, when set, re-optimizes the SOS β after large speed events:
 	// whenever the operator's total speed has drifted beyond the threshold
-	// since the last re-optimization, the (Reweight-invalidated) power
-	// iteration is re-run and the new β_opt installed on Proc and every
-	// Lockstep process, which must implement core.BetaSetter. It composes
-	// with Environment or Scenario (without either it never fires).
+	// since the last re-optimization, λ is recomputed by power iteration and
+	// the new β_opt installed on Proc and every Lockstep process, which must
+	// implement core.BetaSetter. A recently seen speed vector (a restore, a
+	// recurring throttle) reuses its λ bit for bit from the operator's memo.
+	// It composes with Environment or Scenario (without either it never
+	// fires).
 	BetaReopt *BetaReopt
 	// OnRound, when set, is called after each round (after any lockstep
 	// steps and workload injection), e.g. to dump visualization frames.

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
@@ -81,6 +80,8 @@ func (ga GammaDegreeAlpha) String() string { return fmt.Sprintf("alpha=1/(%g*d)"
 // Operator is the diffusion matrix M = I − L S⁻¹ of a graph with speeds,
 // stored implicitly: α per arc plus the speed vector. It supports fast
 // matrix-vector products with M and Mᵀ and densification for small graphs.
+// It remembers λ for the speed vectors it recently saw, so a recently seen
+// speed vector reuses its λ bit for bit.
 //
 // Concurrency: all read operations (products, Dense, SecondEigenvalue) are
 // safe to call concurrently. Reweight mutates the operator in place and
@@ -94,14 +95,8 @@ type Operator struct {
 	rule   AlphaRule
 	// rowAlphaSum[i] = Σ_{j∈N(i)} α_ij, cached for the diagonal.
 	rowAlphaSum []float64
-
-	// Cached second eigenvalue (guarded by mu so concurrent reads can share
-	// it); invalidated by Reweight, which moves the whole spectrum.
-	mu        sync.Mutex
-	lamValid  bool
-	lamOpts   PowerOptions
-	lam       float64
-	lamSigned float64
+	// lambdas holds SecondEigenvalue's results for recent speed vectors.
+	lambdas lambdaMemo
 }
 
 // NewOperator builds the diffusion operator for g with the given speeds
@@ -193,11 +188,12 @@ func (op *Operator) AlphaView() []float64 { return op.alpha }
 
 // Reweight swaps the operator's speed vector in place (nil means
 // homogeneous), revalidating that every diagonal entry of M stays
-// non-negative, and invalidates the cached second eigenvalue — the whole
-// spectrum moves with S. The α coefficients are functions of the graph
-// alone (an AlphaRule never sees speeds), so the CSR α storage and the
-// cached row sums are reused as-is; that is what makes Reweight much
-// cheaper than rebuilding the operator with NewOperator.
+// non-negative. The α coefficients are functions of the graph alone (an
+// AlphaRule never sees speeds), so the CSR α storage and the cached row
+// sums are reused as-is; that is what makes Reweight much cheaper than
+// rebuilding the operator with NewOperator. The λ memo is keyed by the
+// speed vector's content, so Reweight invalidates nothing: a recently seen
+// speed vector reuses its λ bit for bit.
 //
 // On error the operator is left unchanged. Reweight must not run
 // concurrently with any other method on this operator; drivers apply it
@@ -221,9 +217,6 @@ func (op *Operator) Reweight(speeds *hetero.Speeds) error {
 		}
 	}
 	op.speeds = speeds
-	op.mu.Lock()
-	op.lamValid = false
-	op.mu.Unlock()
 	return nil
 }
 
@@ -268,9 +261,6 @@ func (op *Operator) ReweightPar(speeds *hetero.Speeds, lay *shard.Layout, worker
 		}
 	}
 	op.speeds = speeds
-	op.mu.Lock()
-	op.lamValid = false
-	op.mu.Unlock()
 	return nil
 }
 
@@ -282,9 +272,9 @@ func (op *Operator) MemoryFootprint() int64 {
 }
 
 // Clone returns an independent operator over the same (immutable) graph
-// with its own α storage, speed reference and spectral cache. Concurrent
-// simulations that reweight mid-run must each own a clone; sharing one
-// reweightable operator across goroutines is a data race.
+// with its own α storage, speed reference and a copy of the λ memo.
+// Concurrent simulations that reweight mid-run must each own a clone;
+// sharing one reweightable operator across goroutines is a data race.
 func (op *Operator) Clone() *Operator {
 	cp := &Operator{
 		g:           op.g,
@@ -295,9 +285,7 @@ func (op *Operator) Clone() *Operator {
 	}
 	copy(cp.alpha, op.alpha)
 	copy(cp.rowAlphaSum, op.rowAlphaSum)
-	op.mu.Lock()
-	cp.lamValid, cp.lamOpts, cp.lam, cp.lamSigned = op.lamValid, op.lamOpts, op.lam, op.lamSigned
-	op.mu.Unlock()
+	cp.lambdas.ent = op.lambdas.entries()
 	return cp
 }
 
@@ -344,22 +332,6 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 		dst[j] = y[j] - acc/op.speeds.Of(j)
 	}
 	return dst
-}
-
-// mulVecSym computes dst = B·x for the symmetrized operator
-// B = S^{−1/2} M S^{1/2} = I − S^{−1/2} L S^{−1/2}:
-// dst_i = x_i − (1/√s_i) Σ_j α_ij (x_i/√s_i − x_j/√s_j).
-func (op *Operator) mulVecSym(x, dst, invSqrtS []float64) {
-	offsets, arcs := op.g.Offsets(), op.g.Arcs()
-	for i := range dst {
-		xi := x[i] * invSqrtS[i]
-		var acc float64
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			j := arcs[a]
-			acc += op.alpha[a] * (xi - x[j]*invSqrtS[j])
-		}
-		dst[i] = x[i] - acc*invSqrtS[i]
-	}
 }
 
 // Dense materializes M for small graphs (tests, Q(t) analysis).
@@ -465,50 +437,54 @@ func (o PowerOptions) withDefaults() PowerOptions {
 // (which is what β_opt and every bound in the paper uses) together with the
 // signed Rayleigh quotient of the converged vector.
 //
-// The converged result is cached per options, so repeated calls (e.g.
-// after checkpoint restores) are free; Reweight invalidates the cache.
+// Converged results are memoized per speed vector content and options for
+// the two most recently used such keys, so a recently seen speed vector
+// reuses its λ bit for bit: a repeated call, a checkpoint restore or a speed
+// restore after Reweight is answered without iterating.
 func (op *Operator) SecondEigenvalue(opts PowerOptions) (lambda, signed float64, err error) {
 	opts = opts.withDefaults()
-	op.mu.Lock()
-	if op.lamValid && op.lamOpts == opts {
-		lambda, signed = op.lam, op.lamSigned
-		op.mu.Unlock()
+	if lambda, signed, ok := op.lambdas.get(op.speeds, opts); ok {
 		return lambda, signed, nil
 	}
-	op.mu.Unlock()
 	lambda, signed, err = op.secondEigenvalue(opts)
 	if err == nil {
-		op.mu.Lock()
-		op.lamValid, op.lamOpts, op.lam, op.lamSigned = true, opts, lambda, signed
-		op.mu.Unlock()
+		op.lambdas.put(lambdaEntry{speeds: op.speeds, opts: opts, lambda: lambda, signed: signed})
 	}
 	return lambda, signed, err
 }
 
-// secondEigenvalue is the uncached power iteration behind SecondEigenvalue;
-// opts already has defaults applied.
+// secondEigenvalue is the power iteration behind SecondEigenvalue, without
+// the memo; opts already has defaults applied.
 func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64, err error) {
 	n := op.g.NumNodes()
 	if n < 2 {
 		return 0, 0, errors.New("spectral: need at least 2 nodes")
 	}
-	invSqrtS := make([]float64, n)
-	principal := make([]float64, n) // B's principal eigenvector ∝ √s_i
+	it := powerIteration{
+		offsets:   op.g.Offsets(),
+		arcs:      op.g.Arcs(),
+		alpha:     op.alpha,
+		invSqrtS:  make([]float64, n),
+		principal: make([]float64, n), // B's principal eigenvector ∝ √s_i
+		x:         make([]float64, n),
+		y:         make([]float64, n),
+		u:         make([]float64, n),
+	}
 	for i := 0; i < n; i++ {
 		s := op.speeds.Of(i)
-		invSqrtS[i] = 1 / math.Sqrt(s)
-		principal[i] = math.Sqrt(s)
+		it.invSqrtS[i] = 1 / math.Sqrt(s)
+		it.principal[i] = math.Sqrt(s)
 	}
-	numeric.Normalize(principal)
+	numeric.Normalize(it.principal)
 
 	rng := randx.New(opts.Seed)
-	x := make([]float64, n)
+	x := it.x
 	for i := range x {
 		x[i] = rng.Float64() - 0.5
 	}
 	deflate := func(v []float64) {
-		c := numeric.Dot(v, principal)
-		numeric.AXPY(-c, principal, v)
+		c := numeric.Dot(v, it.principal)
+		numeric.AXPY(-c, it.principal, v)
 	}
 	deflate(x)
 	if numeric.Normalize(x) == 0 {
@@ -517,15 +493,14 @@ func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64,
 		deflate(x)
 		numeric.Normalize(x)
 	}
+	for i, v := range x {
+		it.u[i] = v * it.invSqrtS[i]
+	}
 
-	y := make([]float64, n)
 	prev := math.Inf(1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		op.mulVecSym(x, y, invSqrtS)
-		deflate(y)
-		signed = numeric.Dot(x, y) // Rayleigh quotient since ‖x‖=1
-		norm := numeric.Normalize(y)
-		x, y = y, x
+		var norm float64
+		norm, signed = it.step()
 		if norm == 0 {
 			return 0, 0, nil // M restricted to the complement is nilpotent-zero
 		}
@@ -535,6 +510,75 @@ func (op *Operator) secondEigenvalue(opts PowerOptions) (lambda, signed float64,
 		prev = norm
 	}
 	return prev, signed, fmt.Errorf("%w after %d iterations (last |λ|≈%.9g)", ErrNoConvergence, opts.MaxIter, prev)
+}
+
+// powerIteration is the state of deflated power iteration on the
+// symmetrized operator B = S^{−1/2} M S^{1/2} = I − S^{−1/2} L S^{−1/2}:
+// the unit iterate x, its image y, u = x∘S^{−1/2} (the per-node factor
+// every arc of the product reads) and the deflated principal eigenvector.
+type powerIteration struct {
+	offsets, arcs []int32
+	alpha         []float64
+	invSqrtS      []float64
+	principal     []float64 // unit vector ∝ √s_i
+	x, y, u       []float64
+}
+
+// step runs one iteration: y = B·x, deflated against the principal
+// eigenvector, the Rayleigh quotient x·y (‖x‖ = 1), and x ← y/‖y‖ with its
+// u. It returns ‖y‖ and the quotient; ‖y‖ = 0 ends the iteration, so y is
+// then left unscaled.
+//
+// It makes three passes: the product, which also accumulates the
+// deflation coefficient y·p; the deflation, which also accumulates x·y
+// and ‖y‖²; and the scaling, which also writes the next u. Every sum must
+// run in ascending node order over the same operands as numeric.Dot,
+// AXPY and Normalize would: λ's bits, and so β and every SOS trajectory,
+// depend on it (TestSecondEigenvalueBits pins them).
+//
+//lbvet:hotpath thousands of steps per λ, each over every arc
+func (it *powerIteration) step() (norm, signed float64) {
+	offsets, arcs, alpha := it.offsets, it.arcs, it.alpha
+	y := it.y
+	n := len(y)
+	x, u, p, invSqrtS := it.x[:n], it.u[:n], it.principal[:n], it.invSqrtS[:n]
+
+	// y_i = x_i − (1/√s_i) Σ_j α_ij (u_i − u_j), and c = y·p.
+	var c float64
+	for i := range y {
+		ui := u[i]
+		lo, hi := offsets[i], offsets[i+1]
+		row, rowAlpha := arcs[lo:hi], alpha[lo:hi]
+		var acc float64
+		for k, j := range row {
+			acc += rowAlpha[k] * (ui - u[j])
+		}
+		yi := x[i] - acc*invSqrtS[i]
+		y[i] = yi
+		c += yi * p[i]
+	}
+	// y ← y − c·p; signed = x·y; ‖y‖².
+	negC := -c
+	var sq float64
+	for i := range y {
+		yi := y[i] + negC*p[i]
+		y[i] = yi
+		signed += x[i] * yi
+		sq += yi * yi
+	}
+	it.x, it.y = y, x
+	norm = math.Sqrt(sq)
+	if norm == 0 {
+		return 0, signed
+	}
+	// x ← y/‖y‖ and the next u.
+	scale := 1 / norm
+	for i := range y {
+		xi := y[i] * scale
+		y[i] = xi
+		u[i] = xi * invSqrtS[i]
+	}
+	return norm, signed
 }
 
 // BetaOpt returns the optimal SOS parameter β_opt = 2/(1+√(1−λ²)) for a
@@ -560,24 +604,35 @@ func SOSRounds(k float64, n int, lambda float64) float64 {
 
 // AnalyticTorus2DLambda returns the exact second eigenvalue (in magnitude)
 // of the max-degree-rule diffusion matrix on the w×h torus with w, h >= 3:
-// eigenvalues are 1 − (2/5)(2 − cos(2πk₁/w) − cos(2πk₂/h)).
+// eigenvalues are 1 − (2/5)(2 − cos(2πk₁/w) − cos(2πk₂/h)). The w + h
+// cosines are computed once, not once per eigenvalue.
 func AnalyticTorus2DLambda(w, h int) (float64, error) {
 	if w < 3 || h < 3 {
 		return 0, fmt.Errorf("graph: AnalyticTorus2DLambda(%d,%d) needs sides >= 3: %w", w, h, graph.ErrBadParameter)
 	}
+	cosW, cosH := cosines(w), cosines(h)
 	lambda := 0.0
 	for k1 := 0; k1 < w; k1++ {
 		for k2 := 0; k2 < h; k2++ {
 			if k1 == 0 && k2 == 0 {
 				continue
 			}
-			mu := 1 - (2.0/5.0)*(2-math.Cos(2*math.Pi*float64(k1)/float64(w))-math.Cos(2*math.Pi*float64(k2)/float64(h)))
+			mu := 1 - (2.0/5.0)*(2-cosW[k1]-cosH[k2])
 			if a := math.Abs(mu); a > lambda {
 				lambda = a
 			}
 		}
 	}
 	return lambda, nil
+}
+
+// cosines returns cos(2πk/n) for k = 0, …, n−1.
+func cosines(n int) []float64 {
+	c := make([]float64, n)
+	for k := range c {
+		c[k] = math.Cos(2 * math.Pi * float64(k) / float64(n))
+	}
+	return c
 }
 
 // AnalyticHypercubeLambda returns the exact second eigenvalue (in magnitude)

@@ -327,3 +327,30 @@ func TestOperatorValidation(t *testing.T) {
 		t.Error("speed/node count mismatch must be rejected")
 	}
 }
+
+// BenchmarkSecondEigenvalue times one cold power iteration under the default
+// options on a 4096-node random 8-regular expander with two-class speeds. It
+// calls the kernel behind SecondEigenvalue directly, so the λ memo never
+// answers and every op runs the full iteration to convergence.
+func BenchmarkSecondEigenvalue(b *testing.B) {
+	g, err := graph.FromSpec("regular:4096:8", 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := hetero.SpeedsFromSpec("twoclass:0.25:4", g.NumNodes(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, err := NewOperator(g, sp, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := PowerOptions{}.withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := op.secondEigenvalue(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
