@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke bench bench-smoke bench-scale clean
+.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale clean
 
 all: build
 
@@ -65,6 +65,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/envdyn
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/actor
+
+# examples-smoke builds every program under examples/ (they have no tests
+# of their own, so verify only compiles them) and runs each binary from its
+# own temporary directory — visualize writes frames/ into its working
+# directory. Any non-zero exit fails the target and prints the tail of that
+# example's output.
+examples-smoke:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/bin" && $(GO) build -o "$$tmp/bin/" ./examples/... || exit 1; \
+	for bin in "$$tmp"/bin/*; do \
+		name="$$(basename "$$bin")"; dir="$$tmp/run/$$name"; mkdir -p "$$dir"; \
+		echo "examples-smoke: $$name"; \
+		if ! (cd "$$dir" && "$$bin" > stdout.txt); then \
+			tail -n 20 "$$dir/stdout.txt"; echo "examples-smoke: $$name failed"; exit 1; \
+		fi; \
+	done
 
 # bench produces real timings; override BENCHTIME (e.g. BENCHTIME=2s) or
 # narrow with standard go test flags for serious measurement runs.

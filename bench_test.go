@@ -101,7 +101,7 @@ func benchComparisonCore(b *testing.B, g *diffusionlb.Graph, rounds, switchAt in
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range []struct {
 			kind   diffusionlb.Kind
-			policy diffusionlb.SwitchPolicy
+			policy diffusionlb.AdaptivePolicy
 		}{
 			{diffusionlb.SOS, diffusionlb.NeverSwitch{}},
 			{diffusionlb.FOS, diffusionlb.NeverSwitch{}},
@@ -111,7 +111,7 @@ func benchComparisonCore(b *testing.B, g *diffusionlb.Graph, rounds, switchAt in
 			if err != nil {
 				b.Fatal(err)
 			}
-			diffusionlb.RunHybrid(proc, cfg.policy, rounds)
+			diffusionlb.RunAdaptive(proc, cfg.policy, rounds)
 		}
 	}
 }
@@ -409,13 +409,11 @@ func BenchmarkAblationSwitchPolicies(b *testing.B) {
 		name   string
 		policy func() diffusionlb.AdaptivePolicy
 	}{
-		{"never", func() diffusionlb.AdaptivePolicy { return diffusionlb.OneShot(diffusionlb.NeverSwitch{}) }},
-		{"fixed-round", func() diffusionlb.AdaptivePolicy { return diffusionlb.OneShot(diffusionlb.SwitchAtRound{Round: 150}) }},
-		{"local-diff", func() diffusionlb.AdaptivePolicy {
-			return diffusionlb.OneShot(diffusionlb.SwitchOnLocalDiff{Threshold: 16})
-		}},
+		{"never", func() diffusionlb.AdaptivePolicy { return diffusionlb.NeverSwitch{} }},
+		{"fixed-round", func() diffusionlb.AdaptivePolicy { return diffusionlb.SwitchAtRound{Round: 150} }},
+		{"local-diff", func() diffusionlb.AdaptivePolicy { return diffusionlb.SwitchOnLocalDiff{Threshold: 16} }},
 		{"potential-stall", func() diffusionlb.AdaptivePolicy {
-			return diffusionlb.OneShot(&diffusionlb.SwitchOnPotentialStall{Window: 25, Factor: 0.01})
+			return &diffusionlb.SwitchOnPotentialStall{Window: 25, Factor: 0.01}
 		}},
 		{"adaptive-band", func() diffusionlb.AdaptivePolicy {
 			return &diffusionlb.HysteresisBand{Lo: 16, Hi: 64, Cooldown: 25}

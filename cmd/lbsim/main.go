@@ -42,14 +42,14 @@
 //	    the power iteration and re-optimizes the SOS beta in place whenever
 //	    the total speed drifts by more than the relative threshold T.
 //	    -policy attaches a hybrid switch policy (at:N | local:T |
-//	    stall:W:F | adaptive:LO:HI[:CD]); the adaptive hysteresis band
-//	    re-arms SOS when a post-switch burst — or a speed event —
-//	    re-inflates the speed-normalized local difference. -switch N is the
-//	    legacy alias for -policy at:N. -workload, -env, -scenario and
-//	    -policy are also sweep axes in -sweep mode; their lists are
-//	    ';'-separated uniformly, because env and scenario specs contain
-//	    commas. -sweep -stream csv|json streams each aggregated group as
-//	    it completes (byte-identical to -format csv/json, bounded memory).
+//	    stall:W:F | adaptive:LO:HI[:CD] | never); the adaptive hysteresis
+//	    band re-arms SOS when a post-switch burst — or a speed event —
+//	    re-inflates the speed-normalized local difference. -workload,
+//	    -env, -scenario and -policy are also sweep axes in -sweep mode;
+//	    their lists are ';'-separated uniformly, because env and scenario
+//	    specs contain commas. -sweep -stream csv|json streams each
+//	    aggregated group as it completes (byte-identical to -format
+//	    csv/json, bounded memory).
 //	    -runtime actor:K[,stale=S] runs the simulation on the message-
 //	    passing actor runtime: K shard actors exchange boundary flux over
 //	    channels; stale=0 (the default) is the barrier mode, bit-identical
@@ -87,6 +87,7 @@ import (
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/scenario"
+	"diffusionlb/internal/sim"
 	"diffusionlb/internal/sweep"
 	"diffusionlb/internal/telemetry"
 	"diffusionlb/internal/workload"
@@ -157,8 +158,7 @@ func run(args []string) error {
 		envSpec      = fs.String("env", "", "environment dynamics (time-varying speeds): throttle:at=R,frac=F,factor=X | boost:... | drain:at=R,frac=F[,ramp=T][,restore=R2] | jitter:sigma=S, joined with '+' (empty = fixed speeds; ';'-separated list in -sweep mode, since env specs contain commas)")
 		scenarioSpec = fs.String("scenario", "", "coupled scenario (speed + load on one timeline): drain:at=R,frac=F[,ramp=W][,restore=R2] | correlated:at=R,frac=F,factor=X,load=L | cascade:at=R,waves=K,gap=G,frac=F,factor=X, joined with '+' (empty = none; ';'-separated list in -sweep mode)")
 		betaReopt    = fs.Float64("betareopt", 0, "re-optimize the SOS beta whenever the total speed drifts by this relative threshold (0 = off; free-form mode, needs -env or -scenario)")
-		policySpec   = fs.String("policy", "", "hybrid switch policy: at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never (empty = never; ';'-separated list in -sweep mode; supersedes -switch)")
-		switchAt     = fs.Int("switch", 0, "switch SOS->FOS at this round (0 = never; legacy alias for -policy at:N)")
+		policySpec   = fs.String("policy", "", "hybrid switch policy: at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never (empty = never; ';'-separated list in -sweep mode)")
 		stream       = fs.String("stream", "", "sweep mode: stream each aggregated group as it completes instead of holding the whole grid in memory (csv | json; byte-identical to the -format csv/json output)")
 		every        = fs.Int("every", 0, "recording cadence (0 = auto)")
 		csvPath      = fs.String("csv", "", "write the recorded series to this CSV file")
@@ -245,7 +245,6 @@ func run(args []string) error {
 			Rounds:       *rounds,
 			Every:        *every,
 			Avg:          *avg,
-			SwitchAt:     *switchAt,
 			BaseSeed:     *seed,
 			StepWorkers:  *stepWorkers,
 		}
@@ -326,10 +325,9 @@ func run(args []string) error {
 		}
 		return freeFormRun(sys, freeFormConfig{
 			scheme: *scheme, rounder: *rounder, rounds: *rounds, avg: *avg,
-			switchAt: *switchAt, every: *every, csvPath: *csvPath,
+			every: *every, csvPath: *csvPath,
 			seed: *seed, workers: sw, tableRows: *tableRows,
-			hetero: speeds != nil, workload: *workloadSpec,
-			policy: *policySpec, env: *envSpec,
+			workload: *workloadSpec, policy: *policySpec, env: *envSpec,
 			scenario: *scenarioSpec, betaReopt: *betaReopt,
 			runtime: *runtimeSpec,
 			telReg:  telReg, telTr: telTr,
@@ -406,11 +404,10 @@ type freeFormConfig struct {
 	betaReopt                float64
 	rounds                   int
 	avg                      int64
-	switchAt, every          int
+	every                    int
 	seed                     uint64
 	workers                  int
 	tableRows                int
-	hetero                   bool
 	telReg                   *telemetry.Registry
 	telTr                    *telemetry.Trace
 }
@@ -477,52 +474,21 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 			every = 1
 		}
 	}
-	// -policy supersedes the legacy -switch alias; a negative -switch used
-	// to silently mean "never switch", so reject it loudly instead.
-	if cfg.switchAt < 0 {
-		return fmt.Errorf("negative -switch %d (use 0 for never, or -policy)", cfg.switchAt)
-	}
-	policySpec := cfg.policy
-	if policySpec == "" && cfg.switchAt > 0 {
-		policySpec = fmt.Sprintf("at:%d", cfg.switchAt)
-	} else if policySpec != "" && cfg.switchAt > 0 {
-		return fmt.Errorf("set either -policy or -switch, not both")
-	}
-	policy, err := diffusionlb.PolicyFromSpec(policySpec)
+	policy, err := diffusionlb.PolicyFromSpec(cfg.policy)
 	if err != nil {
 		return withGrammar(err)
-	}
-	ms := diffusionlb.DefaultMetrics()
-	if cfg.hetero {
-		ms = append(ms, diffusionlb.MetricHeteroMaxMinusTarget())
 	}
 	wl, err := diffusionlb.WorkloadFromSpec(cfg.workload, n, cfg.seed)
 	if err != nil {
 		return withGrammar(err)
 	}
-	if wl != nil {
-		ms = append(ms, diffusionlb.DynamicMetrics()...)
-	}
 	env, err := diffusionlb.EnvironmentFromSpec(cfg.env, n, cfg.seed)
 	if err != nil {
 		return withGrammar(err)
 	}
-	if env != nil {
-		ms = append(ms, diffusionlb.EnvironmentMetrics()...)
-	}
 	scn, err := diffusionlb.ScenarioFromSpec(cfg.scenario, n, cfg.seed)
 	if err != nil {
 		return withGrammar(err)
-	}
-	if scn != nil {
-		// A scenario moves both sides: record the full coupled set — except
-		// the recovery trio a workload already added (env is always nil
-		// here; the runner rejects -scenario with -env).
-		if wl == nil {
-			ms = append(ms, diffusionlb.ScenarioMetrics()...)
-		} else {
-			ms = append(ms, diffusionlb.EnvironmentMetrics()...)
-		}
 	}
 	var reopt *diffusionlb.BetaReopt
 	if cfg.betaReopt > 0 {
@@ -530,7 +496,8 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 	} else if cfg.betaReopt < 0 {
 		return fmt.Errorf("-betareopt %g must be >= 0 (0 = off)", cfg.betaReopt)
 	}
-	runner := &diffusionlb.Runner{Proc: proc, Every: every, Adaptive: policy, Metrics: ms,
+	runner := &diffusionlb.Runner{Proc: proc, Every: every, Adaptive: policy,
+		Metrics:  sim.MetricsFor(sys.Operator().Speeds(), wl, env, scn),
 		Workload: wl, Environment: env, Scenario: scn, BetaReopt: reopt}
 	if cfg.telReg != nil {
 		runner.Telemetry = telemetry.NewRunProbe(cfg.telReg, cfg.telTr)

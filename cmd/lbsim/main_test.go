@@ -79,7 +79,7 @@ func TestRunSpectrum(t *testing.T) {
 
 func TestRunFreeForm(t *testing.T) {
 	if err := run([]string{"-graph", "torus2d:8x8", "-scheme", "sos",
-		"-rounder", "randomized", "-rounds", "50", "-switch", "20"}); err != nil {
+		"-rounder", "randomized", "-rounds", "50", "-policy", "at:20"}); err != nil {
 		t.Fatal(err)
 	}
 	// Continuous and cumulative variants.
@@ -176,7 +176,7 @@ func TestRunSweep(t *testing.T) {
 	// Heterogeneous axis plus explicit beta and switch round.
 	if err := run([]string{"-sweep", "-graph", "torus2d:6x6",
 		"-speeds", "twoclass:0.25:4", "-beta", "0,1.5",
-		"-switch", "10", "-rounds", "25", "-format", "csv"}); err != nil {
+		"-policy", "at:10", "-rounds", "25", "-format", "csv"}); err != nil {
 		t.Fatal(err)
 	}
 	// Dynamic-workload axis: static vs burst vs composed churn.
@@ -236,12 +236,6 @@ func TestRunFreeFormPolicy(t *testing.T) {
 
 func TestPolicyFlagErrors(t *testing.T) {
 	cases := [][]string{
-		// A negative -switch used to silently mean "never switch".
-		{"-graph", "torus2d:4x4", "-switch", "-5"},
-		{"-sweep", "-graph", "cycle:8", "-switch", "-5", "-rounds", "10"},
-		// -policy supersedes -switch; both together is ambiguous.
-		{"-graph", "torus2d:4x4", "-policy", "at:10", "-switch", "5"},
-		{"-sweep", "-graph", "cycle:8", "-policy", "at:10", "-switch", "5", "-rounds", "10"},
 		// Malformed specs fail loudly in both modes.
 		{"-graph", "torus2d:4x4", "-policy", "warp:9"},
 		{"-sweep", "-graph", "cycle:8", "-policy", "adaptive:64:16", "-rounds", "10"},
@@ -250,6 +244,12 @@ func TestPolicyFlagErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+	// The -switch alias is gone: an old command line must error instead of
+	// running without a switch.
+	err := run([]string{"-graph", "torus2d:4x4", "-switch", "5"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -switch") {
+		t.Errorf("-switch 5: err = %v, want an unknown-flag error", err)
 	}
 }
 

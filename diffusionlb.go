@@ -261,26 +261,26 @@ var RounderByName = core.RounderByName
 
 // --- hybrid switching ---
 
-// SwitchPolicy decides when a hybrid run switches from SOS to FOS
-// (one-way, at most once; see AdaptivePolicy for re-arming controllers).
-type SwitchPolicy = core.SwitchPolicy
+// AdaptivePolicy decides after every round which scheme a hybrid run uses
+// next. The paper's one-way rules below fire SOS→FOS at most once;
+// HysteresisBand also re-arms SOS when a workload burst re-inflates the
+// signal. Attach one as Runner.Adaptive, or drive a bare loop with
+// RunAdaptive.
+type AdaptivePolicy = core.AdaptivePolicy
 
-// SwitchAtRound switches after a fixed round.
+// SwitchAtRound switches SOS→FOS after a fixed round.
 type SwitchAtRound = core.SwitchAtRound
 
-// SwitchOnLocalDiff switches when φ_local drops to a threshold — the
-// locally computable signal the paper recommends.
+// SwitchOnLocalDiff switches SOS→FOS when φ_local drops to a threshold —
+// the locally computable signal the paper recommends.
 type SwitchOnLocalDiff = core.SwitchOnLocalDiff
 
-// SwitchOnPotentialStall switches when the potential stops improving.
+// SwitchOnPotentialStall switches SOS→FOS when the potential stops
+// improving.
 type SwitchOnPotentialStall = core.SwitchOnPotentialStall
 
 // NeverSwitch never switches.
 type NeverSwitch = core.NeverSwitch
-
-// AdaptivePolicy is the bidirectional switch controller: SOS→FOS on the
-// plateau, FOS→SOS re-arm when a workload burst re-inflates the signal.
-type AdaptivePolicy = core.AdaptivePolicy
 
 // HysteresisBand is the re-arming controller over φ_local with a
 // [Lo, Hi] hysteresis band and a switch cooldown.
@@ -289,32 +289,22 @@ type HysteresisBand = core.HysteresisBand
 // SwitchEvent records one scheme switch of a hybrid/adaptive run.
 type SwitchEvent = core.SwitchEvent
 
-// AdaptiveProcess wraps a Process so a policy is applied after every Step
-// (see Adapt).
-type AdaptiveProcess = core.AdaptiveProcess
-
 // Driving helpers.
 var (
 	// Run drives a process for a fixed number of rounds.
 	Run = core.Run
 	// RunUntil drives a process until a predicate fires.
 	RunUntil = core.RunUntil
-	// RunHybrid drives a process with a one-way switch policy.
-	RunHybrid = core.RunHybrid
-	// RunAdaptive drives a process with an adaptive policy, returning the
-	// switch history.
+	// RunAdaptive drives a process under a policy, returning the switch
+	// history.
 	RunAdaptive = core.RunAdaptive
 	// ConvergedWithin builds a discrepancy-based stop predicate.
 	ConvergedWithin = core.ConvergedWithin
 	// ProportionallyConvergedWithin is the heterogeneous analogue.
 	ProportionallyConvergedWithin = core.ProportionallyConvergedWithin
-	// OneShot adapts a one-way SwitchPolicy into an AdaptivePolicy.
-	OneShot = core.OneShot
 	// PolicyFromSpec parses the textual policy syntax shared with the
 	// lbsim CLI and the sweep engine, e.g. "adaptive:16:64:100".
 	PolicyFromSpec = core.PolicyFromSpec
-	// Adapt wraps a Process so a policy runs after every Step.
-	Adapt = core.Adapt
 	// ApplyAdaptive evaluates a policy against a process and actuates the
 	// switch it requests.
 	ApplyAdaptive = core.ApplyAdaptive
@@ -391,8 +381,9 @@ var (
 	MetricPeakDiscrepancy = sim.PeakDiscrepancy
 	// MetricInjectedLoad samples the cumulative net injected load.
 	MetricInjectedLoad = sim.InjectedLoad
-	// RoundsToRecover measures rounds-to-rebalance after a burst from a
-	// recorded series.
+	// RoundsToRecover measures rounds-to-rebalance after a burst (or, on
+	// the ideal_drift column, rounds-to-re-track after a speed event) from
+	// a recorded series.
 	RoundsToRecover = sim.RoundsToRecover
 	// DynamicMetrics is the recovery metric trio dynamic runs record
 	// (discrepancy, peak discrepancy, total load).
@@ -448,9 +439,6 @@ var (
 	// EnvironmentMetrics is the drift/speed-sum pair dynamic-environment
 	// runs record.
 	EnvironmentMetrics = sim.EnvironmentMetrics
-	// RoundsToRetrack measures rounds-to-re-track after a speed event from
-	// a recorded series.
-	RoundsToRetrack = sim.RoundsToRetrack
 )
 
 // --- coupled scenarios (environment + workload on one timeline) ---

@@ -37,16 +37,16 @@ func Example() {
 	// kind after run: SOS
 }
 
-// ExampleRunHybrid shows the paper's SOS→FOS recipe with the locally
+// ExampleRunAdaptive shows the paper's SOS→FOS recipe with the locally
 // computable switching signal.
-func ExampleRunHybrid() {
+func ExampleRunAdaptive() {
 	g, _ := diffusionlb.Torus2D(12, 12)
 	sys, _ := diffusionlb.NewSystem(g, nil)
 	x0, _ := diffusionlb.PointLoad(g.NumNodes(), 100*int64(g.NumNodes()), 0)
 	proc, _ := sys.NewDiscrete(diffusionlb.SOS, nil, 3, x0)
 
-	switchRound := diffusionlb.RunHybrid(proc, diffusionlb.SwitchOnLocalDiff{Threshold: 16}, 400)
-	fmt.Printf("switched: %v\n", switchRound > 0)
+	events := diffusionlb.RunAdaptive(proc, diffusionlb.SwitchOnLocalDiff{Threshold: 16}, 400)
+	fmt.Printf("switched: %v\n", len(events) == 1 && events[0].Round > 0)
 	fmt.Printf("final kind: %v\n", proc.Kind())
 	// Output:
 	// switched: true

@@ -55,32 +55,25 @@ func run() error {
 	}
 	runs := []struct {
 		name string
-		make func() (diffusionlb.Process, error)
+		// policy, when set, is applied after every round; the hybrid uses
+		// the paper's recipe: switch to FOS once the local difference hits
+		// a constant.
+		policy diffusionlb.AdaptivePolicy
+		make   func() (diffusionlb.Process, error)
 	}{
-		{"FOS + randomized rounding", func() (diffusionlb.Process, error) {
+		{"FOS + randomized rounding", nil, func() (diffusionlb.Process, error) {
 			return sys.NewDiscrete(diffusionlb.FOS, nil, seed, x0)
 		}},
-		{"SOS + randomized rounding", func() (diffusionlb.Process, error) {
+		{"SOS + randomized rounding", nil, func() (diffusionlb.Process, error) {
 			return sys.NewDiscrete(diffusionlb.SOS, nil, seed, x0)
 		}},
-		{"SOS then FOS (hybrid)", func() (diffusionlb.Process, error) {
-			proc, err := sys.NewDiscrete(diffusionlb.SOS, nil, seed, x0)
-			if err != nil {
-				return nil, err
-			}
-			// The paper's recipe: switch to FOS once the local difference
-			// hits a constant. Adapt evaluates the policy after every Step,
-			// so the RunUntil driver below needs no switching logic.
-			policy, err := diffusionlb.PolicyFromSpec("local:16")
-			if err != nil {
-				return nil, err
-			}
-			return diffusionlb.Adapt(proc, policy), nil
+		{"SOS then FOS (hybrid)", diffusionlb.SwitchOnLocalDiff{Threshold: 16}, func() (diffusionlb.Process, error) {
+			return sys.NewDiscrete(diffusionlb.SOS, nil, seed, x0)
 		}},
-		{"random matchings [17]", func() (diffusionlb.Process, error) {
+		{"random matchings [17]", nil, func() (diffusionlb.Process, error) {
 			return diffusionlb.NewMatchingBalancer(sys.Operator(), seed, x0)
 		}},
-		{"random walks [13]", func() (diffusionlb.Process, error) {
+		{"random walks [13]", nil, func() (diffusionlb.Process, error) {
 			return diffusionlb.NewRandomWalkBalancer(sys.Operator(), seed, x0)
 		}},
 	}
@@ -94,7 +87,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rounds, ok := diffusionlb.RunUntil(proc, cap_, diffusionlb.ConvergedWithin(8))
+		converged := diffusionlb.ConvergedWithin(8)
+		rounds, ok := diffusionlb.RunUntil(proc, cap_, func(p diffusionlb.Process) bool {
+			if r.policy != nil {
+				diffusionlb.ApplyAdaptive(p, r.policy)
+			}
+			return converged(p)
+		})
 		tokens, messages := int64(0), int64(0)
 		if tp, isTraffic := proc.(traffic); isTraffic {
 			tokens, messages = tp.Traffic()

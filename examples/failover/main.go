@@ -120,7 +120,7 @@ func run() error {
 		fmt.Printf("round %4d: switched %s -> %s\n", ev.Round, ev.From, ev.To)
 	}
 
-	retrack, err := diffusionlb.RoundsToRetrack(res.Series, "ideal_drift", eventR+rampW-1, 32)
+	retrack, err := diffusionlb.RoundsToRecover(res.Series, "ideal_drift", eventR+rampW-1, 32)
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,7 @@ func run() error {
 
 	configs := []struct {
 		name   string
-		policy diffusionlb.SwitchPolicy
+		policy diffusionlb.AdaptivePolicy
 	}{
 		{"pure SOS", diffusionlb.NeverSwitch{}},
 		{fmt.Sprintf("switch@%d", switchAt), diffusionlb.SwitchAtRound{Round: switchAt}},
@@ -72,9 +72,9 @@ func run() error {
 			return err
 		}
 		runner := &diffusionlb.Runner{
-			Proc:   proc,
-			Every:  10,
-			Policy: cfg.policy,
+			Proc:     proc,
+			Every:    10,
+			Adaptive: cfg.policy,
 			Metrics: []diffusionlb.Metric{
 				diffusionlb.MetricMaxMinusAvg(),
 				diffusionlb.MetricMaxLocalDiff(),

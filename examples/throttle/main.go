@@ -116,7 +116,7 @@ func run() error {
 		fmt.Printf("round %4d: switched %s -> %s\n", ev.Round, ev.From, ev.To)
 	}
 
-	retrack, err := diffusionlb.RoundsToRetrack(res.Series, "ideal_drift", eventR, 32)
+	retrack, err := diffusionlb.RoundsToRecover(res.Series, "ideal_drift", eventR, 32)
 	if err != nil {
 		return err
 	}

@@ -247,40 +247,3 @@ func TestCumulativeRestoreValidation(t *testing.T) {
 		t.Error("invalid wrapped kind must be rejected")
 	}
 }
-
-func TestAdaptiveCheckpointRoundTrip(t *testing.T) {
-	op := torusOp(t, 8, 8)
-	x0, err := metrics.PointLoad(64, 64*100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1.8}, RandomizedRounder{}, 3, x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Adapt(p, OneShot(SwitchAtRound{Round: 10}))
-	Run(a, 20)
-	if len(a.Switches()) != 1 {
-		t.Fatalf("switch history = %v, want one event", a.Switches())
-	}
-	cp := a.Checkpoint()
-	Run(a, 5)
-
-	q, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1.8}, RandomizedRounder{}, 3, x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Adapt(q, OneShot(SwitchAtRound{Round: 10}))
-	if err := b.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	got := b.Switches()
-	if len(got) != 1 || got[0] != cp.Switches[0] {
-		t.Fatalf("restored switch history = %v, want %v", got, cp.Switches)
-	}
-	// The restored history is a copy: mutating the restored wrapper must not
-	// write through into the checkpoint.
-	if &got[0] == &cp.Switches[0] {
-		t.Error("Restore must deep-copy the switch history")
-	}
-}

@@ -314,12 +314,12 @@ func TestHybridOnExpanderBarelyHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Op: op, Kind: SOS, Beta: beta}
-	run := func(policy SwitchPolicy) float64 {
+	run := func(policy AdaptivePolicy) float64 {
 		p, err := NewDiscrete(cfg, RandomizedRounder{}, 5, x0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		RunHybrid(p, policy, 150)
+		RunAdaptive(p, policy, 150)
 		return metrics.MaxMinusAvg(p.LoadsInt())
 	}
 	pure := run(NeverSwitch{})

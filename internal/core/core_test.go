@@ -556,9 +556,9 @@ func TestRunHybridSwitchesAtRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := RunHybrid(proc, SwitchAtRound{Round: 25}, 60)
-	if sw != 25 {
-		t.Errorf("switch at round %d, want 25", sw)
+	events := RunAdaptive(proc, SwitchAtRound{Round: 25}, 60)
+	if len(events) != 1 || events[0] != (SwitchEvent{Round: 25, From: SOS, To: FOS}) {
+		t.Errorf("switch history %v, want one SOS->FOS at 25", events)
 	}
 	if proc.Kind() != FOS {
 		t.Errorf("after hybrid run kind = %v, want FOS", proc.Kind())
@@ -588,7 +588,7 @@ func TestHybridImprovesImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RunHybrid(hybrid, SwitchAtRound{Round: total / 2}, total)
+	RunAdaptive(hybrid, SwitchAtRound{Round: total / 2}, total)
 	pureGlobal := metrics.MaxMinusAvg(pure.LoadsInt())
 	hybridGlobal := metrics.MaxMinusAvg(hybrid.LoadsInt())
 	if hybridGlobal > pureGlobal {
@@ -597,40 +597,64 @@ func TestHybridImprovesImbalance(t *testing.T) {
 	t.Logf("pure SOS max-avg=%g, hybrid max-avg=%g", pureGlobal, hybridGlobal)
 }
 
+// TestSwitchPolicies checks the gate the four one-way rules share, calling
+// each as an AdaptivePolicy: a rule never fires on a FOS process, fires
+// SOS→FOS once its condition holds, is not consulted again after the
+// switch, and the stall rule's ring only advances on SOS rounds.
 func TestSwitchPolicies(t *testing.T) {
-	op := torusOp(t, 6, 6)
-	x0, err := metrics.PointLoad(36, 36*100, 0)
-	if err != nil {
-		t.Fatal(err)
+	const w = 5
+	for _, tc := range []struct {
+		policy AdaptivePolicy
+		// quiet is the number of SOS decisions before the condition holds
+		// on the balanced stub (-1 = never).
+		quiet int
+	}{
+		{SwitchAtRound{Round: 3}, 0},
+		{SwitchOnLocalDiff{Threshold: 16}, 0},
+		{&SwitchOnPotentialStall{Window: w, Factor: 0.01}, w},
+		{NeverSwitch{}, -1},
+	} {
+		t.Run(tc.policy.Name(), func(t *testing.T) {
+			// Balanced loads: φ_local = 0 and a flat potential, so every
+			// condition holds once the round and the window allow.
+			p := newStub(t, FOS)
+			for i := 0; i < w; i++ {
+				p.Step()
+				if _, ok := tc.policy.Decide(p); ok {
+					t.Fatalf("fired on a FOS process at round %d", p.Round())
+				}
+			}
+			// The FOS decisions above must not have advanced the stall
+			// ring: it still needs w SOS samples before it can compare.
+			p.SetKind(SOS)
+			for i := 0; i < tc.quiet; i++ {
+				p.Step()
+				if _, ok := tc.policy.Decide(p); ok {
+					t.Fatalf("fired on SOS decision %d, before its window filled on SOS rounds", i+1)
+				}
+			}
+			p.Step()
+			if kind, ok := tc.policy.Decide(p); ok != (tc.quiet >= 0) || (ok && kind != FOS) {
+				t.Fatalf("SOS decision = (%v, %v), want a switch to FOS: %v", kind, ok, tc.quiet >= 0)
+			}
+			p.SetKind(FOS)
+			for i := 0; i < w; i++ {
+				p.Step()
+				if _, ok := tc.policy.Decide(p); ok {
+					t.Fatalf("fired again on FOS round %d after the switch", p.Round())
+				}
+			}
+		})
 	}
-	proc, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1.8}, RandomizedRounder{}, 4, x0)
-	if err != nil {
-		t.Fatal(err)
+	// Before their condition holds, the rules keep SOS.
+	p := newStub(t, SOS)
+	p.loads[0] += 1000
+	p.Step()
+	if _, ok := (SwitchOnLocalDiff{Threshold: 16}).Decide(p); ok {
+		t.Error("local-diff rule fired with φ_local above its threshold")
 	}
-	local := SwitchOnLocalDiff{Threshold: 1e9} // fires immediately
-	if !local.Decide(proc) {
-		t.Error("huge threshold should fire")
-	}
-	tight := SwitchOnLocalDiff{Threshold: 0}
-	if tight.Decide(proc) {
-		t.Error("threshold 0 should not fire on an unbalanced start")
-	}
-	stall := &SwitchOnPotentialStall{Window: 5, Factor: 0.01}
-	fired := false
-	for round := 0; round < 200 && !fired; round++ {
-		proc.Step()
-		fired = stall.Decide(proc)
-	}
-	if !fired {
-		t.Error("potential-stall policy never fired in 200 rounds on a tiny torus")
-	}
-	if (NeverSwitch{}).Decide(proc) {
-		t.Error("NeverSwitch must never fire")
-	}
-	for _, p := range []SwitchPolicy{local, tight, stall, NeverSwitch{}, SwitchAtRound{Round: 5}} {
-		if p.Name() == "" {
-			t.Error("policy must have a name")
-		}
+	if _, ok := (SwitchAtRound{Round: 2}).Decide(p); ok {
+		t.Error("round rule fired before its round")
 	}
 }
 

@@ -8,30 +8,49 @@ import (
 	"strings"
 
 	"diffusionlb/internal/metrics"
-	"diffusionlb/internal/spectral"
 )
 
-// SwitchPolicy decides when a hybrid run should switch from SOS to FOS.
-// The paper (Section VI-A) observes that discrete SOS stalls at a small
-// constant imbalance and proposes switching to FOS once that plateau is
-// reached; it also notes that the maximum local load difference is a good
-// switching signal because it is locally computable.
+// AdaptivePolicy decides, after every completed round, which scheme a
+// hybrid run uses next. The paper (Section VI-A) observes that discrete SOS
+// stalls at a small constant imbalance and proposes switching to FOS once
+// that plateau is reached; it also notes that the maximum local load
+// difference is a good switching signal because it is locally computable.
+// SwitchAtRound, SwitchOnLocalDiff, SwitchOnPotentialStall and NeverSwitch
+// are those one-way rules: each fires SOS→FOS at most once. HysteresisBand
+// also re-arms SOS (FOS→SOS) when a workload burst re-inflates the signal,
+// any number of times: the SOS scheme's speedup comes from its flow memory
+// (the second-order iteration of Muthukrishnan–Ghosh–Schultz), so a burst
+// detected after the switch should restart SOS rather than limp home at
+// FOS pace.
 //
-// SwitchPolicy is one-way: it can only ever fire SOS→FOS, once. Adaptive
-// controllers that re-arm SOS after a workload burst implement
-// AdaptivePolicy instead; OneShot adapts any SwitchPolicy into one.
-//
-// Policies may keep state across rounds; Decide is called after every
-// completed round with the process to inspect. Stateful policies implement
+// Policies may keep state across rounds; stateful policies implement
 // Reset() — see ResetPolicy.
-type SwitchPolicy interface {
-	// Decide reports whether the process should switch to FOS now.
-	Decide(p Process) bool
+type AdaptivePolicy interface {
+	// Decide returns the scheme kind the process should run from the next
+	// round on, and whether to switch now. (_, false) keeps the current
+	// kind. Decide is called after every completed round (after any
+	// external workload injection, so controllers see post-burst loads).
+	Decide(p Process) (Kind, bool)
 	// Name identifies the policy in reports, in the PolicyFromSpec
 	// spelling; for parser-constructed policies it round-trips through
 	// PolicyFromSpec (hand-constructed values may use parameters the
 	// parser rejects, e.g. a zero stall factor).
 	Name() string
+}
+
+// SwitchEvent records one scheme switch of a hybrid run.
+type SwitchEvent struct {
+	// Round is the completed round after which the switch happened; the
+	// new kind applies from the next round on.
+	Round int `json:"round"`
+	// From and To are the scheme kinds on either side of the switch.
+	From Kind `json:"from"`
+	To   Kind `json:"to"`
+}
+
+// String renders the event compactly, e.g. "150:SOS->FOS".
+func (e SwitchEvent) String() string {
+	return fmt.Sprintf("%d:%s->%s", e.Round, e.From, e.To)
 }
 
 // localDiff samples the speed-normalized φ_local = max |x_u/s_u − x_v/s_v|
@@ -54,35 +73,52 @@ func localDiff(p Process) float64 {
 	return metrics.HeteroMaxLocalDiff(g, lv.Float, sp)
 }
 
-// SwitchAtRound switches unconditionally after a fixed number of completed
-// rounds (the paper's Figures 4/5/8 use 2500/3000 and 300..900).
+// sosToFOS is the gate the one-way rules share: the rule is asked only
+// while p runs SOS, and FOS is requested when it holds. A rule is never
+// consulted on a FOS round, so it cannot fire twice unless something else
+// re-arms SOS, and a stateful rule only ever sees SOS rounds.
+func sosToFOS(p Process, fires func(Process) bool) (Kind, bool) {
+	if p.Kind() != SOS || !fires(p) {
+		return 0, false
+	}
+	return FOS, true
+}
+
+// SwitchAtRound switches SOS→FOS unconditionally after a fixed number of
+// completed rounds (the paper's Figures 4/5/8 use 2500/3000 and 300..900).
 type SwitchAtRound struct{ Round int }
 
-// Decide implements SwitchPolicy.
-func (s SwitchAtRound) Decide(p Process) bool { return p.Round() >= s.Round }
+// Decide implements AdaptivePolicy.
+func (s SwitchAtRound) Decide(p Process) (Kind, bool) {
+	return sosToFOS(p, func(p Process) bool { return p.Round() >= s.Round })
+}
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s SwitchAtRound) Name() string { return fmt.Sprintf("at:%d", s.Round) }
 
-// SwitchOnLocalDiff switches once the maximum local load difference drops
-// to Threshold or below — the locally-computable signal the paper
+// SwitchOnLocalDiff switches SOS→FOS once the maximum local load difference
+// drops to Threshold or below — the locally-computable signal the paper
 // recommends for distributed deployments.
 type SwitchOnLocalDiff struct{ Threshold float64 }
 
-// Decide implements SwitchPolicy.
-func (s SwitchOnLocalDiff) Decide(p Process) bool { return localDiff(p) <= s.Threshold }
+// Decide implements AdaptivePolicy.
+func (s SwitchOnLocalDiff) Decide(p Process) (Kind, bool) {
+	return sosToFOS(p, func(p Process) bool { return localDiff(p) <= s.Threshold })
+}
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s SwitchOnLocalDiff) Name() string { return fmt.Sprintf("local:%g", s.Threshold) }
 
-// SwitchOnPotentialStall switches when the 2-norm potential has improved by
-// less than Factor (e.g. 0.01 = 1%) over the last Window rounds — the
-// "end of the exponential decay phase" signal visible in Figure 1.
+// SwitchOnPotentialStall switches SOS→FOS when the 2-norm potential has
+// improved by less than Factor (e.g. 0.01 = 1%) over the last Window SOS
+// rounds — the "end of the exponential decay phase" signal visible in
+// Figure 1.
 //
 // The policy keeps a bounded ring of the last Window+1 potential samples
-// (memory is O(Window), not O(rounds)). A value is tied to one trajectory:
-// call Reset (or build a fresh policy) before reusing it for another run,
-// or its first Window decisions are corrupted by the previous run's tail.
+// (memory is O(Window), not O(rounds)), taken on SOS rounds only. A value
+// is tied to one trajectory: call Reset (or build a fresh policy) before
+// reusing it for another run, or its first Window decisions are corrupted
+// by the previous run's tail.
 type SwitchOnPotentialStall struct {
 	Window int
 	Factor float64
@@ -103,8 +139,12 @@ func (s *SwitchOnPotentialStall) window() int {
 // Reset discards the sample history so the value can start a fresh run.
 func (s *SwitchOnPotentialStall) Reset() { s.head, s.count = 0, 0 }
 
-// Decide implements SwitchPolicy.
-func (s *SwitchOnPotentialStall) Decide(p Process) bool {
+// Decide implements AdaptivePolicy.
+func (s *SwitchOnPotentialStall) Decide(p Process) (Kind, bool) { return sosToFOS(p, s.stalled) }
+
+// stalled records p's potential in the ring and reports whether it
+// improved by less than Factor since the sample Window rounds ago.
+func (s *SwitchOnPotentialStall) stalled(p Process) bool {
 	lv := p.Loads()
 	var phi float64
 	if lv.Int != nil {
@@ -134,7 +174,7 @@ func (s *SwitchOnPotentialStall) Decide(p Process) bool {
 	return improvement < s.Factor
 }
 
-// Name implements SwitchPolicy.
+// Name implements AdaptivePolicy.
 func (s *SwitchOnPotentialStall) Name() string {
 	return fmt.Sprintf("stall:%d:%g", s.window(), s.Factor)
 }
@@ -142,79 +182,11 @@ func (s *SwitchOnPotentialStall) Name() string {
 // NeverSwitch is the identity policy (pure SOS or pure FOS run).
 type NeverSwitch struct{}
 
-// Decide implements SwitchPolicy.
-func (NeverSwitch) Decide(Process) bool { return false }
-
-// Name implements SwitchPolicy.
-func (NeverSwitch) Name() string { return "never" }
-
-// --- adaptive (bidirectional) switching ---
-
-// AdaptivePolicy is the bidirectional generalisation of SwitchPolicy: a
-// controller that may move a hybrid run SOS→FOS when the balance signal
-// plateaus and re-arm SOS (FOS→SOS) when a workload burst re-inflates it,
-// any number of times. The SOS scheme's speedup comes from its flow memory
-// (the second-order iteration of Muthukrishnan–Ghosh–Schultz), so a burst
-// detected after the one-shot switch should restart SOS rather than limp
-// home at FOS pace.
-type AdaptivePolicy interface {
-	// Decide returns the scheme kind the process should run from the next
-	// round on, and whether to switch now. (_, false) keeps the current
-	// kind. Decide is called after every completed round (after any
-	// external workload injection, so controllers see post-burst loads).
-	Decide(p Process) (Kind, bool)
-	// Name identifies the policy in reports, in the PolicyFromSpec
-	// spelling; for parser-constructed policies it round-trips through
-	// PolicyFromSpec.
-	Name() string
-}
-
-// SwitchEvent records one scheme switch of an adaptive (or one-shot) run.
-type SwitchEvent struct {
-	// Round is the completed round after which the switch happened; the
-	// new kind applies from the next round on.
-	Round int `json:"round"`
-	// From and To are the scheme kinds on either side of the switch.
-	From Kind `json:"from"`
-	To   Kind `json:"to"`
-}
-
-// String renders the event compactly, e.g. "150:SOS->FOS".
-func (e SwitchEvent) String() string {
-	return fmt.Sprintf("%d:%s->%s", e.Round, e.From, e.To)
-}
-
-// oneShot adapts a one-way SwitchPolicy into an AdaptivePolicy preserving
-// the legacy hybrid semantics: it only ever fires while the process runs
-// SOS, so after the SOS→FOS switch the wrapped policy is never consulted
-// again (unless something else re-arms SOS).
-type oneShot struct{ sp SwitchPolicy }
-
-// OneShot adapts a one-way SwitchPolicy into an AdaptivePolicy that fires
-// SOS→FOS at most once. A nil policy never switches.
-func OneShot(sp SwitchPolicy) AdaptivePolicy { return oneShot{sp: sp} }
-
 // Decide implements AdaptivePolicy.
-func (o oneShot) Decide(p Process) (Kind, bool) {
-	if o.sp == nil || p.Kind() != SOS {
-		return 0, false
-	}
-	if o.sp.Decide(p) {
-		return FOS, true
-	}
-	return 0, false
-}
+func (NeverSwitch) Decide(Process) (Kind, bool) { return 0, false }
 
 // Name implements AdaptivePolicy.
-func (o oneShot) Name() string {
-	if o.sp == nil {
-		return "never"
-	}
-	return o.sp.Name()
-}
-
-// Reset forwards to the wrapped policy if it is stateful.
-func (o oneShot) Reset() { ResetPolicy(o.sp) }
+func (NeverSwitch) Name() string { return "never" }
 
 // HysteresisBand is the re-arming adaptive controller: it switches to FOS
 // when φ_local (the max local load difference) drops to Lo or below — the
@@ -346,7 +318,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if err := tooMany(1); err != nil {
 			return nil, err
 		}
-		return OneShot(NeverSwitch{}), nil
+		return NeverSwitch{}, nil
 	case "at":
 		round, err := argInt(1)
 		if err != nil {
@@ -358,7 +330,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if round < 1 {
 			return nil, bad("switch round must be >= 1")
 		}
-		return OneShot(SwitchAtRound{Round: round}), nil
+		return SwitchAtRound{Round: round}, nil
 	case "local":
 		thr, err := argFloat(1)
 		if err != nil {
@@ -370,7 +342,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if thr < 0 {
 			return nil, bad("threshold must be >= 0")
 		}
-		return OneShot(SwitchOnLocalDiff{Threshold: thr}), nil
+		return SwitchOnLocalDiff{Threshold: thr}, nil
 	case "stall":
 		window, err := argInt(1)
 		if err != nil {
@@ -389,7 +361,7 @@ func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
 		if factor <= 0 {
 			return nil, bad("factor must be > 0")
 		}
-		return OneShot(&SwitchOnPotentialStall{Window: window, Factor: factor}), nil
+		return &SwitchOnPotentialStall{Window: window, Factor: factor}, nil
 	case "adaptive":
 		lo, err := argFloat(1)
 		if err != nil {
@@ -436,131 +408,10 @@ func ApplyAdaptive(p Process, policy AdaptivePolicy) (SwitchEvent, bool) {
 	return SwitchEvent{Round: p.Round(), From: from, To: kind}, true
 }
 
-// AdaptiveProcess wraps a Process so that an AdaptivePolicy is applied
-// after every Step, recording the switch history — the drop-in way to put
-// adaptive switching under drivers that only know Process (RunUntil, the
-// baselines). Don't also hand the wrapper to a Runner with a policy set,
-// or the policy runs twice per round.
-type AdaptiveProcess struct {
-	Process
-	policy   AdaptivePolicy
-	switches []SwitchEvent
-}
-
-// Adapt wraps p so policy is evaluated after every Step. A nil policy
-// never switches.
-func Adapt(p Process, policy AdaptivePolicy) *AdaptiveProcess {
-	return &AdaptiveProcess{Process: p, policy: policy}
-}
-
-// Step implements Process.
-func (a *AdaptiveProcess) Step() {
-	a.Process.Step()
-	if a.policy == nil {
-		return
-	}
-	if ev, ok := ApplyAdaptive(a.Process, a.policy); ok {
-		a.switches = append(a.switches, ev)
-	}
-}
-
-// AdaptiveCheckpoint captures the wrapper's own resumable state: the switch
-// history. The wrapped process is checkpointed separately by whoever knows
-// its concrete type (Discrete/Continuous/CumulativeDiscrete all carry their
-// own Checkpoint/Restore pairs).
-type AdaptiveCheckpoint struct {
-	Switches []SwitchEvent
-}
-
-// Checkpoint returns a deep copy of the wrapper's resumable state.
-func (a *AdaptiveProcess) Checkpoint() AdaptiveCheckpoint {
-	cp := AdaptiveCheckpoint{Switches: make([]SwitchEvent, len(a.switches))}
-	copy(cp.Switches, a.switches)
-	return cp
-}
-
-// Restore replaces the switch history with the checkpoint's and resets any
-// per-run policy state (stall ring, hysteresis cooldown anchor): a stateful
-// policy's window refills over the first rounds after the resume, which is
-// the same conservative behavior a fresh run starts with.
-func (a *AdaptiveProcess) Restore(cp AdaptiveCheckpoint) error {
-	a.switches = append(a.switches[:0], cp.Switches...)
-	ResetPolicy(a.policy)
-	return nil
-}
-
-// Switches returns the switch history so far (shared slice; do not mutate).
-func (a *AdaptiveProcess) Switches() []SwitchEvent { return a.switches }
-
-// Unwrap returns the wrapped process.
-func (a *AdaptiveProcess) Unwrap() Process { return a.Process }
-
-// Traffic forwards the wrapped process's cumulative token/message counters
-// (zeros if it keeps none), so traffic accounting stays visible through
-// the wrapper.
-func (a *AdaptiveProcess) Traffic() (tokens, messages int64) {
-	if tp, ok := a.Process.(interface{ Traffic() (int64, int64) }); ok {
-		return tp.Traffic()
-	}
-	return 0, 0
-}
-
-// Injected forwards the wrapped process's arrival/departure counters
-// (zeros if it keeps none).
-func (a *AdaptiveProcess) Injected() (added, removed int64) {
-	if ip, ok := a.Process.(interface{ Injected() (int64, int64) }); ok {
-		return ip.Injected()
-	}
-	return 0, 0
-}
-
-// Inject implements Injector by forwarding to the wrapped process, so
-// dynamic workloads drive through the wrapper; it errors if the wrapped
-// process accepts no injection.
-func (a *AdaptiveProcess) Inject(deltas []int64) error {
-	if inj, ok := a.Process.(Injector); ok {
-		return inj.Inject(deltas)
-	}
-	return fmt.Errorf("core: %T does not implement Injector", a.Process)
-}
-
-// Retarget implements Retargeter by forwarding to the wrapped process, so
-// environment dynamics drive through the wrapper; it errors if the wrapped
-// process cannot retarget.
-func (a *AdaptiveProcess) Retarget(op *spectral.Operator) error {
-	if rt, ok := a.Process.(Retargeter); ok {
-		return rt.Retarget(op)
-	}
-	return fmt.Errorf("core: %T does not implement Retargeter", a.Process)
-}
-
-// SetBeta implements BetaSetter by forwarding to the wrapped process, so
-// the β re-optimization policy drives through the wrapper; it errors if the
-// wrapped process cannot change β.
-func (a *AdaptiveProcess) SetBeta(beta float64) error {
-	if bs, ok := a.Process.(BetaSetter); ok {
-		return bs.SetBeta(beta)
-	}
-	return fmt.Errorf("core: %T does not implement BetaSetter", a.Process)
-}
-
-// RunHybrid drives p for maxRounds rounds, switching p to FOS the first
-// time policy fires. It returns the round at which the switch happened, or
-// -1 if it never did. A nil policy never switches.
-func RunHybrid(p Process, policy SwitchPolicy, maxRounds int) (switchRound int) {
-	switchRound = -1
-	for r := 0; r < maxRounds; r++ {
-		p.Step()
-		if switchRound < 0 && policy != nil && p.Kind() == SOS && policy.Decide(p) {
-			p.SetKind(FOS)
-			switchRound = p.Round()
-		}
-	}
-	return switchRound
-}
-
-// RunAdaptive drives p for maxRounds rounds under an adaptive policy and
-// returns the switch history (nil if the policy never fired).
+// RunAdaptive drives p for maxRounds rounds under a policy and returns the
+// switch history (nil if the policy never fired). Under one of the one-way
+// rules this is the paper's SOS→FOS hybrid, with at most one event. A nil
+// policy never switches.
 func RunAdaptive(p Process, policy AdaptivePolicy, maxRounds int) []SwitchEvent {
 	var events []SwitchEvent
 	for r := 0; r < maxRounds; r++ {

@@ -66,24 +66,24 @@ func TestPotentialStallResetIsReuseSafe(t *testing.T) {
 	// Run A: fill the ring on a flat (stalled) trajectory until it fires.
 	fired := false
 	for i := 0; i < 2*w && !fired; i++ {
-		fired = s.Decide(p)
+		_, fired = s.Decide(p)
 	}
 	if !fired {
 		t.Fatal("stall policy never fired on a flat potential")
 	}
 	// Without a reset, the very first decision of "run B" would fire off
 	// run A's tail — the corrupted-first-decisions bug.
-	if !s.Decide(p) {
+	if _, ok := s.Decide(p); !ok {
 		t.Fatal("stale policy should still fire immediately (this is the bug Reset fixes)")
 	}
 	// After Reset the policy is blind again for w rounds, like a fresh one.
 	s.Reset()
 	for i := 1; i <= w; i++ {
-		if s.Decide(p) {
+		if _, ok := s.Decide(p); ok {
 			t.Fatalf("decision %d after Reset fired from stale history", i)
 		}
 	}
-	if !s.Decide(p) {
+	if _, ok := s.Decide(p); !ok {
 		t.Error("policy should fire once its own window refills on the flat trajectory")
 	}
 }
@@ -152,39 +152,6 @@ func TestHysteresisBandRearmsAndCoolsDown(t *testing.T) {
 	}
 }
 
-func TestOneShotAdapterMatchesLegacyGating(t *testing.T) {
-	// The adapter only fires on SOS processes, so after the switch the
-	// wrapped policy is never consulted again — legacy RunHybrid semantics.
-	p := newStub(t, SOS)
-	os := OneShot(SwitchAtRound{Round: 3})
-	for p.Round() < 2 {
-		p.Step()
-		if _, ok := os.Decide(p); ok {
-			t.Fatalf("fired before its round at %d", p.Round())
-		}
-	}
-	p.Step()
-	if kind, ok := os.Decide(p); !ok || kind != FOS {
-		t.Fatal("should fire FOS at round 3")
-	}
-	p.SetKind(FOS)
-	p.Step()
-	if _, ok := os.Decide(p); ok {
-		t.Error("one-shot adapter fired on a FOS process")
-	}
-	// A FOS-only run never switches under a one-way policy.
-	f := newStub(t, FOS)
-	f.Step()
-	f.Step()
-	f.Step()
-	if _, ok := OneShot(SwitchAtRound{Round: 1}).Decide(f); ok {
-		t.Error("one-way policy fired on a pure FOS run")
-	}
-	if _, ok := OneShot(nil).Decide(p); ok {
-		t.Error("nil wrapped policy fired")
-	}
-}
-
 func TestPolicyFromSpecRoundTrip(t *testing.T) {
 	// Name() is the canonical spec: it must re-parse to a policy with the
 	// same name.
@@ -248,13 +215,17 @@ func TestPolicyFromSpecErrors(t *testing.T) {
 	}
 }
 
+// TestAdaptAndRunAdaptive pins the bare-loop ways to drive a policy:
+// RunAdaptive under a one-way rule reproduces the hand-written SOS→FOS
+// hybrid loop exactly, and ApplyAdaptive called from a RunUntil predicate
+// (how a driver that only takes a predicate attaches a policy) reproduces
+// RunAdaptive.
 func TestAdaptAndRunAdaptive(t *testing.T) {
 	op := torusOp(t, 6, 6)
 	x0, err := metrics.PointLoad(36, 36_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunAdaptive with a one-shot adapter reproduces RunHybrid exactly.
 	mk := func() *Discrete {
 		p, err := NewDiscrete(Config{Op: op, Kind: SOS, Beta: 1.8}, RandomizedRounder{}, 2, x0)
 		if err != nil {
@@ -262,35 +233,37 @@ func TestAdaptAndRunAdaptive(t *testing.T) {
 		}
 		return p
 	}
-	legacy := mk()
-	sw := RunHybrid(legacy, SwitchAtRound{Round: 25}, 60)
-	adaptive := mk()
-	events := RunAdaptive(adaptive, OneShot(SwitchAtRound{Round: 25}), 60)
-	if len(events) != 1 || events[0].Round != sw || events[0].From != SOS || events[0].To != FOS {
-		t.Fatalf("RunAdaptive events = %v, want one SOS->FOS at %d", events, sw)
+	hand := mk()
+	sw := -1
+	for r := 0; r < 60; r++ {
+		hand.Step()
+		if sw < 0 && hand.Kind() == SOS && hand.Round() >= 25 {
+			hand.SetKind(FOS)
+			sw = hand.Round()
+		}
 	}
-	if !reflect.DeepEqual(legacy.LoadsInt(), adaptive.LoadsInt()) {
-		t.Error("RunAdaptive trajectory diverges from RunHybrid")
+	adaptive := mk()
+	events := RunAdaptive(adaptive, SwitchAtRound{Round: 25}, 60)
+	if want := []SwitchEvent{{Round: sw, From: SOS, To: FOS}}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("RunAdaptive events = %v, want %v", events, want)
+	}
+	if !reflect.DeepEqual(hand.LoadsInt(), adaptive.LoadsInt()) {
+		t.Error("RunAdaptive trajectory diverges from the hand-driven hybrid")
 	}
 
-	// The Adapt wrapper applies the policy inside Step and keeps the
-	// wrapped process's capabilities (traffic, injection) visible.
-	wrapped := Adapt(mk(), OneShot(SwitchAtRound{Round: 25}))
-	Run(wrapped, 60)
-	if !reflect.DeepEqual(wrapped.Switches(), events) {
-		t.Errorf("Adapt switches = %v, want %v", wrapped.Switches(), events)
+	pred := mk()
+	var predEvents []SwitchEvent
+	RunUntil(pred, 60, func(p Process) bool {
+		if ev, ok := ApplyAdaptive(p, SwitchAtRound{Round: 25}); ok {
+			predEvents = append(predEvents, ev)
+		}
+		return false
+	})
+	if !reflect.DeepEqual(predEvents, events) {
+		t.Errorf("ApplyAdaptive in a RunUntil predicate switches = %v, want %v", predEvents, events)
 	}
-	if !reflect.DeepEqual(wrapped.Unwrap().(*Discrete).LoadsInt(), legacy.LoadsInt()) {
-		t.Error("Adapt trajectory diverges from RunHybrid")
-	}
-	if tok, _ := wrapped.Traffic(); tok == 0 {
-		t.Error("wrapper hides the traffic counters")
-	}
-	if err := wrapped.Inject(make([]int64, 36)); err != nil {
-		t.Errorf("wrapper hides Inject: %v", err)
-	}
-	if added, removed := wrapped.Injected(); added != 0 || removed != 0 {
-		t.Errorf("zero injection reported as %d/%d", added, removed)
+	if !reflect.DeepEqual(pred.LoadsInt(), adaptive.LoadsInt()) {
+		t.Error("ApplyAdaptive in a RunUntil predicate diverges from RunAdaptive")
 	}
 }
 

@@ -191,9 +191,4 @@ func TestRetargetValidation(t *testing.T) {
 	if cu.Retargets() != 1 {
 		t.Errorf("cumulative retargets = %d, want 1 (forwarded)", cu.Retargets())
 	}
-	// The adaptive wrapper forwards Retarget like Inject.
-	w := Adapt(d, nil)
-	if err := w.Retarget(op); err != nil {
-		t.Errorf("AdaptiveProcess.Retarget: %v", err)
-	}
 }

@@ -146,7 +146,7 @@ func runThrottleVariants(p Params) (throttleSetup, []throttleOutcome, error) {
 		o.pre = drift[setup.event-1] // Every=1: row index == round
 		o.post = drift[setup.event]
 		o.final = drift[len(drift)-1]
-		o.retrack, err = sim.RoundsToRetrack(res.Series, "ideal_drift", setup.event, o.pre+8)
+		o.retrack, err = sim.RoundsToRecover(res.Series, "ideal_drift", setup.event, o.pre+8)
 		if err != nil {
 			return err
 		}

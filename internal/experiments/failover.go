@@ -163,7 +163,7 @@ func runFailoverVariants(p Params) (failoverSetup, []failoverOutcome, error) {
 		o.pre = drift[setup.event-1] // Every=1: row index == round
 		o.post = drift[setup.drainEnd]
 		o.final = drift[len(drift)-1]
-		o.recover, err = sim.RoundsToRetrack(res.Series, "ideal_drift", setup.drainEnd, o.pre+8)
+		o.recover, err = sim.RoundsToRecover(res.Series, "ideal_drift", setup.drainEnd, o.pre+8)
 		if err != nil {
 			return err
 		}

@@ -39,7 +39,7 @@ func runComparison(w io.Writer, p Params, name string, sys *system, rounds, ever
 	}
 	cells := []struct {
 		kind    core.Kind
-		policy  core.SwitchPolicy
+		policy  core.AdaptivePolicy
 		metrics []sim.Metric
 		prefix  string
 	}{
@@ -57,7 +57,7 @@ func runComparison(w io.Writer, p Params, name string, sys *system, rounds, ever
 		if err != nil {
 			return err
 		}
-		r := &sim.Runner{Proc: proc, Every: every, Policy: c.policy, Metrics: c.metrics}
+		r := &sim.Runner{Proc: proc, Every: every, Adaptive: c.policy, Metrics: c.metrics}
 		res, err := r.Run(rounds)
 		if err != nil {
 			return err

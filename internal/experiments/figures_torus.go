@@ -269,7 +269,7 @@ func runFig4(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		r := &sim.Runner{Proc: proc, Every: every, Policy: core.SwitchAtRound{Round: sw}}
+		r := &sim.Runner{Proc: proc, Every: every, Adaptive: core.SwitchAtRound{Round: sw}}
 		res, err := r.Run(rounds)
 		if err != nil {
 			return err
@@ -318,7 +318,7 @@ func runFig5(w io.Writer, p Params) error {
 		return err
 	}
 	configs := []struct {
-		policy core.SwitchPolicy
+		policy core.AdaptivePolicy
 		label  string
 	}{
 		{core.NeverSwitch{}, "sos_"},
@@ -332,7 +332,7 @@ func runFig5(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		r := &sim.Runner{Proc: proc, Every: every, Policy: configs[i].policy,
+		r := &sim.Runner{Proc: proc, Every: every, Adaptive: configs[i].policy,
 			Metrics: []sim.Metric{sim.MaxMinusAvg()}}
 		res, err := r.Run(rounds)
 		if err != nil {
@@ -515,7 +515,7 @@ func runFig8(w io.Writer, p Params) error {
 		return err
 	}
 	configs := []struct {
-		policy core.SwitchPolicy
+		policy core.AdaptivePolicy
 		label  string
 	}{
 		{core.NeverSwitch{}, "sos_"},
@@ -531,7 +531,7 @@ func runFig8(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		r := &sim.Runner{Proc: proc, Every: every, Policy: configs[i].policy,
+		r := &sim.Runner{Proc: proc, Every: every, Adaptive: configs[i].policy,
 			Metrics: []sim.Metric{sim.MaxMinusAvg()}}
 		res, err := r.Run(rounds)
 		if err != nil {
@@ -593,9 +593,9 @@ func runFig15(w io.Writer, p Params) error {
 		return rep
 	}
 	r := &sim.Runner{
-		Proc:   proc,
-		Every:  every,
-		Policy: core.SwitchAtRound{Round: 500},
+		Proc:     proc,
+		Every:    every,
+		Adaptive: core.SwitchAtRound{Round: 500},
 		Metrics: []sim.Metric{
 			sim.MaxMinusAvg(),
 			sim.MaxLocalDiff(),

@@ -374,18 +374,6 @@ func TestAdaptivePolicySeesPostInjectionLoads(t *testing.T) {
 	}
 }
 
-func TestRunnerRejectsPolicyAndAdaptiveTogether(t *testing.T) {
-	proc := discreteProc(t, 4, 4, core.SOS, 1.8)
-	r := &Runner{
-		Proc:     proc,
-		Policy:   core.SwitchAtRound{Round: 5},
-		Adaptive: &core.HysteresisBand{Lo: 4, Hi: 64},
-	}
-	if _, err := r.Run(10); err == nil {
-		t.Fatal("Runner must reject Policy and Adaptive set together")
-	}
-}
-
 // TestSwitchHistoryDeterministicAcrossStepWorkers is the adaptive-hybrid
 // acceptance criterion: Result.Switches is bit-identical for every per-step
 // worker count. The 64x64 torus has exactly 4096 nodes — the parallelFor

@@ -112,12 +112,12 @@ func TestRunnerAppliesEnvironment(t *testing.T) {
 	if drift[f.event] < 4*pre+8 {
 		t.Errorf("drift %g -> %g across the event; the moved target should re-inflate it", pre, drift[f.event])
 	}
-	retrack, err := RoundsToRetrack(res.Series, "ideal_drift", f.event, pre+8)
+	retrack, err := RoundsToRecover(res.Series, "ideal_drift", f.event, pre+8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if retrack <= 0 {
-		t.Errorf("RoundsToRetrack = %d, want a positive re-tracking time", retrack)
+		t.Errorf("RoundsToRecover = %d, want a positive re-tracking time", retrack)
 	}
 }
 

@@ -186,8 +186,9 @@ func InjectedLoad() Metric {
 // fromRound where the named column is at or below threshold, and returns
 // how many rounds past fromRound that took (0 if already recovered at
 // fromRound's row). It returns -1 when the series never recovers — the
-// "rounds-to-rebalance after a burst" recovery metric. The resolution is
-// the recording cadence of the series.
+// "rounds-to-rebalance after a burst" recovery metric, and on the
+// ideal_drift column the rounds to re-track after a speed event. The
+// resolution is the recording cadence of the series.
 func RoundsToRecover(s *Series, col string, fromRound int, threshold float64) (int, error) {
 	vals, err := s.Column(col)
 	if err != nil {
@@ -240,14 +241,6 @@ func ScenarioMetrics() []Metric {
 	return append(DynamicMetrics(), EnvironmentMetrics()...)
 }
 
-// RoundsToRetrack scans a recorded series for how many rounds past a speed
-// event the named drift column needed to fall back to or below threshold —
-// the environment counterpart of RoundsToRecover (it is the same scan; the
-// alias keeps call sites self-describing). -1 means it never re-tracked.
-func RoundsToRetrack(s *Series, col string, eventRound int, threshold float64) (int, error) {
-	return RoundsToRecover(s, col, eventRound, threshold)
-}
-
 // TokensMoved samples the cumulative token-hop counter of processes that
 // expose Traffic() (the discrete engines and the baselines); it reports 0
 // for processes without traffic accounting.
@@ -277,6 +270,34 @@ func DynamicMetrics() []Metric {
 	return []Metric{Discrepancy(), PeakDiscrepancy(), TotalLoad()}
 }
 
+// MetricsFor is the column set a free-form lbsim run and a sweep cell
+// record: the default trio; the speed-proportional φ_global unless every
+// speed is 1; the recovery trio with a workload; the drift pair with an
+// environment; and with a scenario, which moves both loads and speeds, the
+// drift pair plus the recovery trio unless the workload already added it.
+// Nil arguments mean "not attached". Like DynamicMetrics, the returned
+// slice is good for one run.
+func MetricsFor(sp *hetero.Speeds, wl workload.Mutator, env envdyn.Dynamics, sc *scenario.Scenario) []Metric {
+	ms := DefaultMetrics()
+	if !sp.IsHomogeneous() {
+		ms = append(ms, HeteroMaxMinusTarget())
+	}
+	if wl != nil {
+		ms = append(ms, DynamicMetrics()...)
+	}
+	if env != nil {
+		ms = append(ms, EnvironmentMetrics()...)
+	}
+	if sc != nil {
+		if wl == nil {
+			ms = append(ms, ScenarioMetrics()...)
+		} else {
+			ms = append(ms, EnvironmentMetrics()...)
+		}
+	}
+	return ms
+}
+
 // Runner drives a process and records metrics.
 type Runner struct {
 	// Proc is the process to drive. Required.
@@ -285,17 +306,13 @@ type Runner struct {
 	Metrics []Metric
 	// Every is the recording cadence in rounds (default 1).
 	Every int
-	// Policy optionally switches the scheme to FOS mid-run (one-way
-	// hybrid). Internally it runs as core.OneShot(Policy); set Adaptive
-	// instead for bidirectional (re-arming) controllers. Setting both is
-	// an error.
-	Policy core.SwitchPolicy
-	// Adaptive optionally drives the scheme kind every round (hysteresis
-	// re-arming, custom controllers). It is evaluated after workload
-	// injection, so the controller sees post-burst loads the same round
-	// they land. Stateful policies are tied to one trajectory: build a
-	// fresh one per run (e.g. via core.PolicyFromSpec) or call
-	// core.ResetPolicy between runs.
+	// Adaptive optionally drives the scheme kind every round: one of the
+	// paper's one-way SOS→FOS rules (core.SwitchAtRound and friends), the
+	// re-arming core.HysteresisBand, or a custom controller. It is
+	// evaluated after workload injection, so the controller sees
+	// post-burst loads the same round they land. Stateful policies are
+	// tied to one trajectory: build a fresh one per run (e.g. via
+	// core.PolicyFromSpec) or call core.ResetPolicy between runs.
 	Adaptive core.AdaptivePolicy
 	// Lockstep processes are stepped once per round before sampling; use
 	// for reference processes consumed by DeviationFrom.
@@ -502,9 +519,9 @@ type Result struct {
 	// Series holds the recorded metric table.
 	Series *Series
 	// SwitchRound is the round of the first scheme switch (-1 if none) —
-	// the legacy one-shot view of Switches.
+	// the whole history under a one-way rule.
 	SwitchRound int
-	// Switches is the full scheme-switch history; adaptive policies may
+	// Switches is the full scheme-switch history; a re-arming policy may
 	// switch any number of times. Nil when no policy fired.
 	Switches []core.SwitchEvent
 	// SpeedEvents is the history of effective speed changes applied by the
@@ -548,14 +565,6 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 	}
 	series := NewSeries(names...)
 	res := &Result{Series: series, SwitchRound: -1}
-
-	policy := r.Adaptive
-	if r.Policy != nil {
-		if policy != nil {
-			return nil, errors.New("sim: set either Runner.Policy or Runner.Adaptive, not both")
-		}
-		policy = core.OneShot(r.Policy)
-	}
 
 	// The speed timeline comes from either Environment or Scenario (whose
 	// speed half is an envdyn.Dynamics); both drive the same reweight +
@@ -793,8 +802,8 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		// Policy evaluation deliberately follows workload injection above:
 		// an adaptive controller must see the post-burst loads in the same
 		// round the burst lands, or re-arming lags the recording by a round.
-		if policy != nil {
-			if ev, ok := core.ApplyAdaptive(r.Proc, policy); ok {
+		if r.Adaptive != nil {
+			if ev, ok := core.ApplyAdaptive(r.Proc, r.Adaptive); ok {
 				ev.Round = round // the driver's round counter, not p.Round()
 				res.Switches = append(res.Switches, ev)
 				if res.SwitchRound < 0 {

@@ -140,9 +140,9 @@ func TestRunnerRecordsAndConverges(t *testing.T) {
 func TestRunnerHybridPolicy(t *testing.T) {
 	proc := discreteProc(t, 8, 8, core.SOS, 1.8)
 	r := &Runner{
-		Proc:    proc,
-		Metrics: []Metric{MaxMinusAvg(), MaxLocalDiff()},
-		Policy:  core.SwitchAtRound{Round: 50},
+		Proc:     proc,
+		Metrics:  []Metric{MaxMinusAvg(), MaxLocalDiff()},
+		Adaptive: core.SwitchAtRound{Round: 50},
 	}
 	res, err := r.Run(120)
 	if err != nil {

@@ -296,44 +296,6 @@ func TestPoliciesAxis(t *testing.T) {
 	}
 }
 
-// TestSwitchAtLegacyAlias: SwitchAt > 0 maps onto the policies axis, and
-// the validation gaps of the old wiring (negative switch_at silently
-// meaning "never", SwitchAt alongside an explicit policies axis) are now
-// loud errors.
-func TestSwitchAtLegacyAlias(t *testing.T) {
-	spec := Spec{
-		Graphs:   []string{"torus2d:8x8"},
-		Schemes:  []string{"sos"},
-		SwitchAt: 10,
-		Rounds:   30,
-		Every:    10,
-	}
-	res, err := Run(context.Background(), spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.Groups[0]
-	if g.Policy != "at:10" || len(g.Switches) != 1 || g.Switches[0] != 1 {
-		t.Fatalf("legacy SwitchAt group = policy %q switches %v, want at:10 [1]", g.Policy, g.Switches)
-	}
-
-	bad := spec
-	bad.SwitchAt = -5
-	if _, err := Run(context.Background(), bad, Options{}); err == nil {
-		t.Error("negative switch_at must be rejected, not treated as never")
-	}
-	both := spec
-	both.Policies = []string{"local:16"}
-	if _, err := Run(context.Background(), both, Options{}); err == nil {
-		t.Error("switch_at together with policies must be rejected")
-	}
-	badPolicy := Spec{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"},
-		Policies: []string{"warp:9"}, Rounds: 10}
-	if _, err := Run(context.Background(), badPolicy, Options{}); err == nil {
-		t.Error("malformed policy spec must fail validation before any cell runs")
-	}
-}
-
 // TestScenariosAxis: scenario cells carry the spec label, record the full
 // coupled metric set, actually move both sides (total_load spikes on the
 // correlated burst, speed_sum drops), leave the shared system operator

@@ -264,31 +264,11 @@ func runCell(spec Spec, c Cell, sys *system) (*sim.Series, []core.SwitchEvent, e
 		return nil, nil, err
 	}
 
-	ms := sim.DefaultMetrics()
-	if !sys.sp.IsHomogeneous() {
-		ms = append(ms, sim.HeteroMaxMinusTarget())
-	}
 	// The workload's rounding streams are salted off the cell seed, so a
 	// cell's dynamics depend only on its coordinate — never on scheduling.
 	wl, err := workload.FromSpec(c.Workload, n, randx.Mix(c.Seed, seedSaltWorkload))
 	if err != nil {
 		return nil, nil, err
-	}
-	if wl != nil {
-		ms = append(ms, sim.DynamicMetrics()...)
-	}
-	if env != nil {
-		ms = append(ms, sim.EnvironmentMetrics()...)
-	}
-	if scn != nil {
-		// A scenario moves both sides: record the full coupled set — except
-		// the recovery trio a workload already added (env is always nil
-		// here; scenarios and environments are mutually exclusive).
-		if wl == nil {
-			ms = append(ms, sim.ScenarioMetrics()...)
-		} else {
-			ms = append(ms, sim.EnvironmentMetrics()...)
-		}
 	}
 	// Every cell parses its own fresh policy value: stateful policies
 	// (stall history, hysteresis cooldown) must never carry one replicate's
@@ -297,7 +277,8 @@ func runCell(spec Spec, c Cell, sys *system) (*sim.Series, []core.SwitchEvent, e
 	if err != nil {
 		return nil, nil, err
 	}
-	runner := &sim.Runner{Proc: proc, Every: spec.Every, Adaptive: policy, Metrics: ms, Workload: wl, Environment: env, Scenario: scn}
+	runner := &sim.Runner{Proc: proc, Every: spec.Every, Adaptive: policy, Metrics: sim.MetricsFor(sys.sp, wl, env, scn),
+		Workload: wl, Environment: env, Scenario: scn}
 	res, err := runner.Run(spec.Rounds)
 	if err != nil {
 		return nil, nil, err

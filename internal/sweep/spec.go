@@ -60,10 +60,10 @@ type Spec struct {
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Policies lists hybrid switch-policy specs (core.PolicyFromSpec
 	// syntax: "at:2500", "local:16", "stall:50:0.01",
-	// "adaptive:16:64:100"); the empty string never switches. One-way
-	// policies only ever fire on SOS cells; the re-arming "adaptive"
-	// controller drives the kind of either scheme. Empty means [""], or
-	// ["at:N"] when the legacy SwitchAt field is set.
+	// "adaptive:16:64:100"); the empty string never switches. The one-way
+	// rules (at, local, stall) only ever fire on SOS cells; the re-arming
+	// "adaptive" controller drives the kind of either scheme. Empty means
+	// [""].
 	Policies []string `json:"policies,omitempty"`
 	// Betas lists SOS β overrides; 0 means the spectral optimum β_opt.
 	// Empty means [0]. FOS ignores β, so for FOS schemes the axis
@@ -80,11 +80,6 @@ type Spec struct {
 	// Avg is the average initial load, placed entirely on node 0
 	// (default 1000).
 	Avg int64 `json:"avg"`
-	// SwitchAt switches SOS cells to FOS at this round (0 = never).
-	//
-	// Deprecated: legacy alias for Policies = ["at:SwitchAt"]; setting
-	// both is an error, and negative values are rejected.
-	SwitchAt int `json:"switch_at,omitempty"`
 	// BaseSeed is the master seed every cell seed is derived from
 	// (default 1).
 	BaseSeed uint64 `json:"base_seed"`
@@ -115,15 +110,7 @@ func (s Spec) withDefaults() Spec {
 		s.Scenarios = []string{""}
 	}
 	if len(s.Policies) == 0 {
-		if s.SwitchAt > 0 {
-			// Legacy alias; SwitchAt is cleared so the normalized spec has
-			// one canonical policy representation (validate rejects specs
-			// that set both fields explicitly).
-			s.Policies = []string{fmt.Sprintf("at:%d", s.SwitchAt)}
-			s.SwitchAt = 0
-		} else {
-			s.Policies = []string{""}
-		}
+		s.Policies = []string{""}
 	}
 	if len(s.Betas) == 0 {
 		s.Betas = []float64{0}
@@ -208,16 +195,6 @@ func (s Spec) validate() error {
 				return fmt.Errorf("sweep: environments and scenarios cannot combine (%q x %q): a scenario owns the speed timeline", env, sc)
 			}
 		}
-	}
-	// A negative switch round used to silently mean "never switch"; reject
-	// it at spec-validation time instead.
-	if s.SwitchAt < 0 {
-		return fmt.Errorf("sweep: negative switch_at %d (use 0 for never, or a policies entry)", s.SwitchAt)
-	}
-	// withDefaults folds SwitchAt into Policies and clears it, so a still
-	// positive SwitchAt here means both fields were set explicitly.
-	if s.SwitchAt > 0 && len(s.Policies) > 0 {
-		return fmt.Errorf("sweep: set either switch_at or policies, not both")
 	}
 	for _, ps := range s.Policies {
 		if _, err := core.PolicyFromSpec(ps); err != nil {

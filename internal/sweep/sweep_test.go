@@ -116,6 +116,8 @@ func TestSpecValidation(t *testing.T) {
 		// core needs SOS beta strictly below 2; validation must reject the
 		// boundary upfront, before the expensive system build.
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{2}},
+		// A malformed policy must fail validation before any cell runs.
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Policies: []string{"warp:9"}},
 	}
 	for i, s := range bad {
 		if _, err := Run(context.Background(), s, Options{}); err == nil {
