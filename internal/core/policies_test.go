@@ -152,6 +152,41 @@ func TestHysteresisBandRearmsAndCoolsDown(t *testing.T) {
 	}
 }
 
+// TestOneShotAdapterMatchesLegacyGating pins the one-shot gating the bare
+// rules now carry themselves: a one-way rule fires only on a SOS process,
+// so after the switch it is never consulted again and a pure FOS run never
+// switches.
+func TestOneShotAdapterMatchesLegacyGating(t *testing.T) {
+	p := newStub(t, SOS)
+	var rule AdaptivePolicy = SwitchAtRound{Round: 3}
+	for p.Round() < 2 {
+		p.Step()
+		if _, ok := rule.Decide(p); ok {
+			t.Fatalf("fired before its round at %d", p.Round())
+		}
+	}
+	p.Step()
+	if kind, ok := rule.Decide(p); !ok || kind != FOS {
+		t.Fatal("should fire FOS at round 3")
+	}
+	p.SetKind(FOS)
+	p.Step()
+	if _, ok := rule.Decide(p); ok {
+		t.Error("one-way rule fired on a FOS process")
+	}
+	// A FOS-only run never switches under a one-way rule.
+	f := newStub(t, FOS)
+	f.Step()
+	f.Step()
+	f.Step()
+	if _, ok := (SwitchAtRound{Round: 1}).Decide(f); ok {
+		t.Error("one-way rule fired on a pure FOS run")
+	}
+	if events := RunAdaptive(newStub(t, SOS), nil, 3); events != nil {
+		t.Errorf("nil policy switched: %v", events)
+	}
+}
+
 func TestPolicyFromSpecRoundTrip(t *testing.T) {
 	// Name() is the canonical spec: it must re-parse to a policy with the
 	// same name.
