@@ -2,6 +2,7 @@ package actor_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"diffusionlb/internal/actor"
@@ -184,34 +185,41 @@ func TestRestoreValidation(t *testing.T) {
 	async.Step()
 	cp := async.Checkpoint()
 
+	rejected := func(what string, a *actor.Runtime, cp actor.Checkpoint) {
+		t.Helper()
+		before := a.Checkpoint()
+		if err := a.Restore(cp); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+		if after := a.Checkpoint(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rejected %s mutated the runtime", what)
+		}
+	}
+
 	barrier, err := actor.New(op, core.SOS, 1.5, nil, 1, x0, actor.Options{Actors: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := barrier.Restore(cp); err == nil {
-		t.Error("barrier runtime accepted an async checkpoint")
-	}
+	barrier.Step()
+	rejected("async checkpoint on a barrier runtime", barrier, cp)
 
 	otherPart, err := actor.New(op, core.SOS, 1.5, nil, 1, x0, actor.Options{Actors: 3, Stale: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := otherPart.Restore(cp); err == nil {
-		t.Error("async checkpoint restored across a different partition")
-	}
+	otherPart.Step()
+	rejected("async checkpoint across a different partition", otherPart, cp)
 
-	bad := cp
-	bad.Core.Kind = 0
 	same, err := actor.New(op, core.SOS, 1.5, nil, 1, x0, actor.Options{Actors: 4, Stale: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := same.Restore(bad); err == nil {
-		t.Error("checkpoint with invalid kind accepted")
-	}
-	badBeta := cp
+	same.Step()
+	bad := async.Checkpoint()
+	bad.Core.Kind = 0
+	rejected("checkpoint with invalid kind", same, bad)
+	badBeta := async.Checkpoint()
+	badBeta.Core.Round = 999
 	badBeta.Core.Beta = 2.5
-	if err := same.Restore(badBeta); err == nil {
-		t.Error("checkpoint with beta outside (0,2) accepted")
-	}
+	rejected("checkpoint with beta outside (0,2)", same, badBeta)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"diffusionlb/internal/metrics"
@@ -102,14 +103,26 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restore(Checkpoint{Loads: make([]int64, 3)}); err == nil {
-		t.Error("shape mismatch must be rejected")
+	p.Step()
+	before := p.Checkpoint()
+	rejected := func(what string, cp Checkpoint) {
+		t.Helper()
+		if err := p.Restore(cp); err == nil {
+			t.Errorf("%s must be rejected", what)
+		}
+		if after := p.Checkpoint(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rejected %s mutated the process: %+v, want %+v", what, after, before)
+		}
 	}
+	rejected("shape mismatch", Checkpoint{Loads: make([]int64, 3)})
 	cp := p.Checkpoint()
 	cp.Kind = Kind(99)
-	if err := p.Restore(cp); err == nil {
-		t.Error("invalid kind must be rejected")
-	}
+	rejected("invalid kind", cp)
+	cp = p.Checkpoint()
+	cp.Round = 999
+	cp.Loads[0] = 7
+	cp.Beta = 7.5
+	rejected("out-of-range beta", cp)
 }
 
 func TestContinuousCheckpointRestoreBitIdentical(t *testing.T) {
@@ -165,19 +178,26 @@ func TestContinuousRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restore(ContinuousCheckpoint{Loads: make([]float64, 3)}); err == nil {
-		t.Error("shape mismatch must be rejected")
+	p.Step()
+	before := p.Checkpoint()
+	rejected := func(what string, cp ContinuousCheckpoint) {
+		t.Helper()
+		if err := p.Restore(cp); err == nil {
+			t.Errorf("%s must be rejected", what)
+		}
+		if after := p.Checkpoint(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rejected %s mutated the process: %+v, want %+v", what, after, before)
+		}
 	}
+	rejected("shape mismatch", ContinuousCheckpoint{Loads: make([]float64, 3)})
 	cp := p.Checkpoint()
 	cp.Kind = Kind(99)
-	if err := p.Restore(cp); err == nil {
-		t.Error("invalid kind must be rejected")
-	}
+	rejected("invalid kind", cp)
 	cp = p.Checkpoint()
+	cp.Round = 999
+	cp.Loads[0] = 7
 	cp.Beta = 7.5
-	if err := p.Restore(cp); err == nil {
-		t.Error("out-of-range beta must be rejected")
-	}
+	rejected("out-of-range beta", cp)
 }
 
 func TestCumulativeCheckpointRestoreBitIdentical(t *testing.T) {
@@ -238,12 +258,25 @@ func TestCumulativeRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restore(CumulativeCheckpoint{Loads: make([]int64, 3)}); err == nil {
-		t.Error("shape mismatch must be rejected")
+	p.Step()
+	before := p.Checkpoint()
+	rejected := func(what string, cp CumulativeCheckpoint) {
+		t.Helper()
+		if err := p.Restore(cp); err == nil {
+			t.Errorf("%s must be rejected", what)
+		}
+		if after := p.Checkpoint(); !reflect.DeepEqual(after, before) {
+			t.Errorf("rejected %s mutated the process: %+v, want %+v", what, after, before)
+		}
 	}
+	rejected("shape mismatch", CumulativeCheckpoint{Loads: make([]int64, 3)})
 	cp := p.Checkpoint()
 	cp.Cont.Kind = Kind(99)
-	if err := p.Restore(cp); err == nil {
-		t.Error("invalid wrapped kind must be rejected")
-	}
+	rejected("invalid wrapped kind", cp)
+	cp = p.Checkpoint()
+	cp.Round = 999
+	cp.Cont.Round = 999
+	cp.Cont.Loads[0] = 7
+	cp.Cont.Beta = 7.5
+	rejected("out-of-range wrapped beta", cp)
 }

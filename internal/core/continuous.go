@@ -343,6 +343,12 @@ func (c *Continuous) Restore(cp ContinuousCheckpoint) error {
 	default:
 		return fmt.Errorf("%w: checkpoint has invalid kind %d", ErrBadConfig, int(cp.Kind))
 	}
+	if cp.Beta != 0 {
+		if err := betaCheck(cp.Beta); err != nil {
+			return err
+		}
+		c.beta = cp.Beta
+	}
 	c.round = cp.Round
 	c.kind = cp.Kind
 	c.flowsValid = cp.FlowsValid
@@ -352,12 +358,6 @@ func (c *Continuous) Restore(cp ContinuousCheckpoint) error {
 	c.negTransientRounds = cp.NegTransientRounds
 	c.initialTotal = cp.InitialTotal
 	c.retargetCount = cp.Retargets
-	if cp.Beta != 0 {
-		if err := betaCheck(cp.Beta); err != nil {
-			return err
-		}
-		c.beta = cp.Beta
-	}
 	return nil
 }
 

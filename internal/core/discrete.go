@@ -465,6 +465,12 @@ func (d *Discrete) Restore(cp Checkpoint) error {
 	default:
 		return fmt.Errorf("%w: checkpoint has invalid kind %d", ErrBadConfig, int(cp.Kind))
 	}
+	if cp.Beta != 0 {
+		if err := betaCheck(cp.Beta); err != nil {
+			return err
+		}
+		d.beta = cp.Beta
+	}
 	d.round = cp.Round
 	d.kind = cp.Kind
 	d.flowsValid = cp.FlowsValid
@@ -480,12 +486,6 @@ func (d *Discrete) Restore(cp Checkpoint) error {
 	d.injectedTokens = cp.InjectedTokens
 	d.removedTokens = cp.RemovedTokens
 	d.retargetCount = cp.Retargets
-	if cp.Beta != 0 {
-		if err := betaCheck(cp.Beta); err != nil {
-			return err
-		}
-		d.beta = cp.Beta
-	}
 	return nil
 }
 
