@@ -1,10 +1,9 @@
 package actor
 
 import (
-	"math/rand/v2"
+	"slices"
 
-	"diffusionlb/internal/core"
-	"diffusionlb/internal/spectral"
+	"diffusionlb/internal/shard"
 )
 
 // zMsg carries the sender's normalized boundary loads for one round:
@@ -44,7 +43,10 @@ type link struct {
 	sendNodes []int32 // sorted unique tails of cutArcs (src's boundary nodes toward dst)
 	cutArcs   []int32 // src-owned arcs with head in dst, in CSR arc order
 	recvArcs  []int32 // mate[cutArcs[k]]: the dst-owned arc credited by flux entry k
-	slot      []int32 // slot[k]: index of cutArcs[k]'s tail in sendNodes
+	recvNodes []int32 // head of cutArcs[k]: the dst-owned tail of recvArcs[k]
+	// ghost is the z index of the dst-side ghost slot holding sendNodes[0];
+	// the link's ghost slots follow in sendNodes order.
+	ghost int
 
 	zCh chan zMsg
 	fCh chan fluxMsg
@@ -61,7 +63,7 @@ type link struct {
 	fRing    [][]int64
 	fRingSum []int64
 
-	// applied is the newest flux version credited into flowIn
+	// applied is the newest flux version credited to dst's nodes
 	// (receiver-owned; −1 before the first round).
 	applied int
 	// Conservation accounting: sentTotal accumulates every token handed to
@@ -72,94 +74,40 @@ type link struct {
 	appliedTotal int64
 }
 
-// ctlOp enumerates the control-plane message kinds the driver broadcasts
-// to the actors between rounds.
-type ctlOp uint8
-
-const (
-	ctlInject ctlOp = iota + 1
-	ctlRetarget
-	ctlSetBeta
-	ctlSetKind
-)
-
-// ctlMsg is one control-plane broadcast: a workload injection, a speed
-// event (operator retarget), a β re-optimization or a scheme switch. The
-// driver appends it to every actor's mailbox and the actors drain their
-// mailboxes concurrently — the actor-runtime form of the shared-memory
-// engines' direct mutation, with the same between-rounds semantics.
-type ctlMsg struct {
-	op     ctlOp
-	deltas []int64 // ctlInject: shared read-only; each actor applies its own node range
-	newOp  *spectral.Operator
-	beta   float64
-	kind   core.Kind
-}
-
-// actorState is the private state of one actor: the node and arc ranges it
-// owns, its link endpoints, its control mailbox and its own view of the
-// control-plane parameters (operator, scheme, β) — actors never read
-// another actor's parameters, only messages.
+// actorState is the private state of one actor: the node range it owns,
+// its link endpoints and the staleness lags of the current round. Its
+// kernel scratch is the engine's per-shard scratch of the same index.
 type actorState struct {
-	r            *Runtime
-	id           int
-	lo, hi       int // owned node range
-	arcLo, arcHi int // owned arc range
-
-	// Control-plane parameters, installed by drainCtl between rounds. They
-	// start as copies of the runtime-level mirrors and stay in sync with
-	// them because every mutation goes through a Runtime method that both
-	// broadcasts and updates the mirror.
-	op         *spectral.Operator
-	kind       core.Kind
-	beta       float64
-	flowsValid bool
-
-	ctl []ctlMsg
+	r      *Runtime
+	id     int
+	lo, hi int // owned node range
 
 	in  []*link // links where this actor receives (dst == id), src ascending
 	out []*link // links where this actor sends (src == id), dst ascending
 
-	lag   []int     // per in-link staleness lag of the current round
-	haloZ []float64 // per owned arc: the head's z when the head is remote
-
-	// Rounding scratch, sized maxDeg; the PCG is re-seeded per node from
-	// (seed, round, node) exactly like the shared-memory engine.
-	vals   []float64
-	outBuf []int64
-	arcIdx []int32
-	pcg    *rand.PCG
-	rng    *rand.Rand
+	lag []int // per in-link staleness lag of the current round
 }
 
 // buildTopology populates r.act and r.links from the layout: one actor per
 // shard, one directed link per ordered shard pair that shares cut arcs.
 // Links are created in (src, dst) ascending order and per-actor link lists
 // inherit that order, so the construction — and every reduction that walks
-// it — is deterministic.
-func buildTopology(r *Runtime) {
-	lay := r.lay
+// it — is deterministic. It returns the halo view core.NewHalo builds the
+// engine on: each link's receiving arcs read their heads from a run of
+// ghost slots (one per boundary node of the sender), and every cut arc is
+// its own mate.
+func buildTopology(r *Runtime, lay *shard.Layout) (heads, mates []int32, ghosts int) {
 	k := lay.Shards()
 	g := lay.Graph()
-	maxDeg := g.MaxDegree()
+	n := g.NumNodes()
 	span := r.stale + 1
+	offsets, arcs, mate := g.Offsets(), g.Arcs(), g.MateIndex()
+	heads, mates = slices.Clone(arcs), slices.Clone(mate)
 	r.act = make([]actorState, k)
 	for s := 0; s < k; s++ {
 		lo, hi := lay.NodeRange(s)
-		alo, ahi := lay.ArcRange(s)
-		pcg := rand.NewPCG(0, 0)
-		r.act[s] = actorState{
-			r: r, id: s, lo: lo, hi: hi, arcLo: alo, arcHi: ahi,
-			op: r.op, kind: r.kind, beta: r.beta,
-			haloZ:  make([]float64, ahi-alo),
-			vals:   make([]float64, maxDeg),
-			outBuf: make([]int64, maxDeg),
-			arcIdx: make([]int32, maxDeg),
-			pcg:    pcg,
-			rng:    rand.New(pcg),
-		}
+		r.act[s] = actorState{r: r, id: s, lo: lo, hi: hi}
 	}
-	offsets, arcs, mate := r.offsets, r.arcs, r.mate
 	// Cut arcs of the current source shard, grouped by destination shard;
 	// tails recorded alongside so boundary node lists fall out of one scan.
 	perDstArc := make([][]int32, k)
@@ -185,32 +133,36 @@ func buildTopology(r *Runtime) {
 			perDstArc[d], perDstTail[d] = nil, nil
 			l := &link{
 				src: s, dst: d,
-				cutArcs:  cut,
-				recvArcs: make([]int32, len(cut)),
-				slot:     make([]int32, len(cut)),
-				zCh:      make(chan zMsg, 1),
-				fCh:      make(chan fluxMsg, 1),
-				fBuf:     make([]int64, len(cut)),
-				fRing:    make([][]int64, span),
-				fRingSum: make([]int64, span),
-				zRing:    make([][]float64, span),
-				applied:  -1,
+				cutArcs:   cut,
+				recvArcs:  make([]int32, len(cut)),
+				recvNodes: make([]int32, len(cut)),
+				ghost:     n + ghosts,
+				zCh:       make(chan zMsg, 1),
+				fCh:       make(chan fluxMsg, 1),
+				fBuf:      make([]int64, len(cut)),
+				fRing:     make([][]int64, span),
+				fRingSum:  make([]int64, span),
+				zRing:     make([][]float64, span),
+				applied:   -1,
 			}
 			// Tails arrive in non-decreasing order (the scan walks nodes in
 			// order and CSR groups a node's arcs), so the unique boundary
-			// node list and the per-arc slots come from a single pass.
+			// node list and each receiving arc's ghost slot come from a
+			// single pass.
 			var send []int32
-			for kk, tail := range tails {
-				if len(send) == 0 || send[len(send)-1] != tail {
+			for kk, a := range cut {
+				if tail := tails[kk]; len(send) == 0 || send[len(send)-1] != tail {
 					send = append(send, tail)
 				}
-				l.slot[kk] = int32(len(send) - 1)
+				ra := mate[a]
+				l.recvArcs[kk] = ra
+				l.recvNodes[kk] = arcs[a]
+				heads[ra] = int32(l.ghost + len(send) - 1)
+				mates[a] = a
 			}
+			ghosts += len(send)
 			l.sendNodes = send
 			l.zBuf = make([]float64, len(send))
-			for kk, a := range cut {
-				l.recvArcs[kk] = mate[a]
-			}
 			for v := 0; v < span; v++ {
 				l.zRing[v] = make([]float64, len(send))
 				l.fRing[v] = make([]int64, len(cut))
@@ -225,4 +177,5 @@ func buildTopology(r *Runtime) {
 	for s := range r.act {
 		r.act[s].lag = make([]int, len(r.act[s].in))
 	}
+	return heads, mates, ghosts
 }

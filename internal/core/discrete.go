@@ -27,6 +27,20 @@ import (
 // flow double buffering: rounding writes the mate arc, which may live in
 // another shard whose SOS recurrence still has to read the previous round's
 // flow there.
+//
+// The passes are also the only discrete kernel of the message-passing
+// runtime (internal/actor), which steps them one shard at a time through
+// a halo view built by NewHalo. The arc loops read z[heads[a]] and write
+// next[mates[a]]; on the shared engine heads and mates are the graph's
+// arcs and mate. A halo engine points each remote head (one in another
+// shard) at a ghost slot z[n+g] that the transport fills from its
+// neighbor's message, and each remote arc's mate at the arc itself. The
+// owner writes next[mates[a]] = −f before next[a] = f, so on a self-mated
+// arc the tail's own value wins and next[a] ends as the tokens a sent. The
+// transport zeroes its remote arcs before the round pass, hands passApply
+// a per-node credit of the tokens remote heads sent, and afterwards
+// subtracts them from the remote arcs, so the SOS memory of a cut arc is
+// "sent − credited" — in barrier mode exactly the shared engine's flow.
 type Discrete struct {
 	//lint:allow checkpointsync operator state is replayed by the resuming driver, see Checkpoint.Retargets
 	op      *spectral.Operator
@@ -38,7 +52,15 @@ type Discrete struct {
 	lay     *shard.Layout
 	// CSR views, fixed for the life of the process (Retarget requires the
 	// same graph shape and the layout pins the graph identity).
-	offsets, arcs, mate []int32
+	offsets, arcs []int32
+	// heads and mates are the halo view the arc loops index z and the mate
+	// write through: the graph's arcs and mate on the shared engine, the
+	// ghost-slot and self-mate maps on a halo engine (see NewHalo).
+	heads, mates []int32
+	// credit is a halo engine's per-node count of tokens its remote heads
+	// sent this round, consumed and zeroed by passApply (so zero at every
+	// round boundary); nil on the shared engine.
+	credit []int64
 
 	x     []int64 // loads at the beginning of the current round
 	flows []int64 // y_D of the last completed round, per arc
@@ -108,6 +130,12 @@ var _ Sharded = (*Discrete)(nil)
 // paper's RandomizedRounder), a master seed for the rounding streams, and
 // the initial integer loads (copied).
 func NewDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64) (*Discrete, error) {
+	return newDiscrete(cfg, rounder, seed, initial, nil, nil, 0)
+}
+
+// newDiscrete is NewDiscrete with an optional halo view (see NewHalo); nil
+// heads and mates mean the graph's own arcs and mate.
+func newDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -118,6 +146,16 @@ func NewDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64) (*Di
 	n := g.NumNodes()
 	if len(initial) != n {
 		return nil, fmt.Errorf("%w: %d initial loads for %d nodes", ErrBadConfig, len(initial), n)
+	}
+	var credit []int64
+	if heads == nil {
+		heads, mates = g.Arcs(), g.MateIndex()
+	} else {
+		if len(heads) != g.NumArcs() || len(mates) != g.NumArcs() || ghosts < 0 {
+			return nil, fmt.Errorf("%w: halo maps %d/%d for %d arcs, %d ghosts",
+				ErrBadConfig, len(heads), len(mates), g.NumArcs(), ghosts)
+		}
+		credit = make([]int64, n)
 	}
 	maxDeg := g.MaxDegree()
 	lay := layoutFor(cfg)
@@ -132,12 +170,14 @@ func NewDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64) (*Di
 		lay:       lay,
 		offsets:   g.Offsets(),
 		arcs:      g.Arcs(),
-		mate:      g.MateIndex(),
+		heads:     heads,
+		mates:     mates,
+		credit:    credit,
 		x:         make([]int64, n),
 		flows:     make([]int64, g.NumArcs()),
 		flowsNext: make([]int64, g.NumArcs()),
 		scheduled: make([]float64, g.NumArcs()),
-		z:         make([]float64, n),
+		z:         make([]float64, n+ghosts),
 		sh:        make([]discreteShard, k),
 		minT:      make([]int64, k),
 		minE:      make([]int64, k),
@@ -180,13 +220,14 @@ func (d *Discrete) passZ(_, lo, hi int) {
 // passRound is the fused schedule+round kernel: for each node it computes
 // the scheduled flows Ŷ of its arcs and immediately rounds them into the
 // next flow buffer. Node i owns arc a=(i→j) iff Ŷ_a > 0, or Ŷ_a == 0 and
-// i < j; the owner writes the integer flow to both a and mate(a). Exact
-// IEEE antisymmetry (Ŷ_mate = −Ŷ_a) makes ownership unique, so every arc of
-// flowsNext is written exactly once per round with no cross-shard races.
+// i < j; the owner writes the integer flow to both mate(a) and a, in that
+// order (see the halo note on Discrete). Exact IEEE antisymmetry
+// (Ŷ_mate = −Ŷ_a) makes ownership unique, so every arc of flowsNext is
+// written exactly once per round with no cross-shard races.
 //
 //lbvet:hotpath per-round fused kernel over every arc
 func (d *Discrete) passRound(s, lo, hi int) {
-	offsets, arcs, mate := d.offsets, d.arcs, d.mate
+	offsets, arcs, heads, mates := d.offsets, d.arcs, d.heads, d.mates
 	alpha := d.stepAlpha
 	prev, next := d.flows, d.flowsNext
 	second, sigma, beta := d.stepSecond, d.stepSigma, d.stepBeta
@@ -197,7 +238,7 @@ func (d *Discrete) passRound(s, lo, hi int) {
 		zi := d.z[i]
 		cnt := 0
 		for a := offsets[i]; a < offsets[i+1]; a++ {
-			grad := alpha[a] * (zi - d.z[arcs[a]])
+			grad := alpha[a] * (zi - d.z[heads[a]])
 			y := grad
 			if second {
 				y = sigma*float64(prev[a]) + beta*grad
@@ -209,8 +250,8 @@ func (d *Discrete) passRound(s, lo, hi int) {
 				arcIdx[cnt] = a
 				cnt++
 			} else if y == 0 && int32(i) < arcs[a] {
+				next[mates[a]] = 0
 				next[a] = 0
-				next[mate[a]] = 0
 			}
 		}
 		if cnt == 0 {
@@ -222,20 +263,20 @@ func (d *Discrete) passRound(s, lo, hi int) {
 		d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
 		for k := 0; k < cnt; k++ {
 			a := arcIdx[k]
+			next[mates[a]] = -out[k]
 			next[a] = out[k]
-			next[mate[a]] = -out[k]
 		}
 	}
 }
 
-// passApply applies the round's flows to one shard's loads and records the
-// shard's transient/end-of-round minima and traffic counts in its reduction
-// slots.
+// passApply applies the round's flows to one shard's loads (plus a halo
+// engine's credit) and records the shard's transient/end-of-round minima
+// and traffic counts in its reduction slots.
 //
 //lbvet:hotpath per-round kernel over every node and arc
 func (d *Discrete) passApply(s, lo, hi int) {
 	offsets := d.offsets
-	flows := d.flows
+	flows, credit := d.flowsNext, d.credit
 	localT, localE := int64(math.MaxInt64), int64(math.MaxInt64)
 	var localMoved, localMsgs int64
 	for i := lo; i < hi; i++ {
@@ -253,6 +294,10 @@ func (d *Discrete) passApply(s, lo, hi int) {
 			localT = tr
 		}
 		nx := d.x[i] - outSum
+		if credit != nil {
+			nx += credit[i]
+			credit[i] = 0
+		}
 		d.x[i] = nx
 		if nx < localE {
 			localE = nx
@@ -268,6 +313,15 @@ func (d *Discrete) passApply(s, lo, hi int) {
 //
 //lbvet:hotpath runs every round; TestStepSteadyStateAllocFree pins 0 allocs
 func (d *Discrete) Step() {
+	d.beginRound()
+	d.lay.Run(d.workers, d.passZFn)
+	d.lay.Run(d.workers, d.passRoundFn)
+	d.lay.Run(d.workers, d.passApplyFn)
+	d.endRound()
+}
+
+// beginRound latches the round-scoped parameters the passes read.
+func (d *Discrete) beginRound() {
 	sp := speedsOf(d.op)
 	d.stepSp = sp
 	d.stepHomog = sp.IsHomogeneous()
@@ -277,14 +331,12 @@ func (d *Discrete) Step() {
 	d.stepSigma = d.beta - 1
 	d.stepRound = uint64(d.round)
 	d.stepNeedRNG = !d.rounder.Deterministic()
+}
 
-	d.lay.Run(d.workers, d.passZFn)
-	d.lay.Run(d.workers, d.passRoundFn)
-	// The fused pass wrote the round's flows into flowsNext; promote them
-	// before applying (SOS reads them as memory next round).
+// endRound promotes the round's flows (SOS reads them as memory next round)
+// and folds the per-shard reduction slots in shard order.
+func (d *Discrete) endRound() {
 	d.flows, d.flowsNext = d.flowsNext, d.flows
-	d.lay.Run(d.workers, d.passApplyFn)
-
 	k := d.lay.Shards()
 	anyNeg := false
 	for s := 0; s < k; s++ {
@@ -311,6 +363,58 @@ func (d *Discrete) Step() {
 	}
 	d.round++
 }
+
+// Halo is the transport-side handle of a Discrete built by NewHalo: the
+// round's entry points, which a message-passing runtime calls one shard at
+// a time around its own exchanges, and the arrays it fills between them.
+// The engine itself exposes none of this, so only the holder of the handle
+// can step it shard by shard.
+type Halo struct{ d *Discrete }
+
+// NewHalo builds a Discrete over cfg.Layout whose arc loops read z through
+// heads and write the mate flow through mates (see the halo note on
+// Discrete): heads[a] is the head of arc a, or n+g for a remote head whose
+// normalized load the transport puts in ghost slot g < ghosts; mates[a] is
+// the mate of arc a, or a itself for a remote arc. Both slices are owned by
+// the engine from here on.
+func NewHalo(cfg Config, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, Halo, error) {
+	if heads == nil || mates == nil {
+		return nil, Halo{}, fmt.Errorf("%w: nil halo maps", ErrBadConfig)
+	}
+	d, err := newDiscrete(cfg, rounder, seed, initial, heads, mates, ghosts)
+	if err != nil {
+		return nil, Halo{}, err
+	}
+	return d, Halo{d}, nil
+}
+
+// Begin latches the round's parameters; call it before any shard's passes.
+func (h Halo) Begin() { h.d.beginRound() }
+
+// PassZ normalizes shard s's loads into Z.
+func (h Halo) PassZ(s, lo, hi int) { h.d.passZ(s, lo, hi) }
+
+// PassRound schedules and rounds shard s's flows into Next; the ghost slots
+// its remote heads read must be filled and its remote arcs zeroed.
+func (h Halo) PassRound(s, lo, hi int) { h.d.passRound(s, lo, hi) }
+
+// PassApply applies shard s's flows and Credit to its loads.
+func (h Halo) PassApply(s, lo, hi int) { h.d.passApply(s, lo, hi) }
+
+// End promotes the round's flows and folds the shard slots in shard order;
+// call it after every shard's PassApply.
+func (h Halo) End() { h.d.endRound() }
+
+// Z returns the normalized loads followed by the ghost slots.
+func (h Halo) Z() []float64 { return h.d.z }
+
+// Next returns the flow buffer the current round writes, valid from Begin
+// to End.
+func (h Halo) Next() []int64 { return h.d.flowsNext }
+
+// Credit returns the per-node credit PassApply adds to the loads and
+// zeroes.
+func (h Halo) Credit() []int64 { return h.d.credit }
 
 // Round returns the number of completed rounds.
 func (d *Discrete) Round() int { return d.round }
@@ -370,6 +474,9 @@ func (d *Discrete) MemoryFootprint() int64 {
 		bytes += int64(len(sc.vals))*8 + int64(len(sc.out))*8 + int64(len(sc.arcs))*4
 	}
 	bytes += int64(len(d.minT)+len(d.minE)+len(d.movd)+len(d.msgs)) * 8
+	if d.credit != nil { // a halo engine owns its head and mate maps
+		bytes += int64(len(d.heads)+len(d.mates))*4 + int64(len(d.credit))*8
+	}
 	return bytes
 }
 
