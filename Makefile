@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale clean
+.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale perfbench-check clean
 
 all: build
 
@@ -105,6 +105,13 @@ BENCH_N ?= 1048576
 BENCH_OUT ?= BENCH_10.json
 bench-scale:
 	$(GO) run ./cmd/lbbench -n $(BENCH_N) -compare-telemetry -out $(BENCH_OUT)
+
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/), a
+# module of its own that the root ./... patterns never compile. It builds
+# against the checkout's sources through a replace directive and needs no
+# network.
+perfbench-check:
+	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...
