@@ -58,8 +58,8 @@ type Discrete struct {
 	// ghost-slot and self-mate maps on a halo engine (see NewHalo).
 	heads, mates []int32
 	// credit is a halo engine's per-node count of tokens its remote heads
-	// sent this round, consumed and zeroed by passApply (so zero at every
-	// round boundary); nil on the shared engine.
+	// sent this round; nil on the shared engine.
+	//lint:allow checkpointsync per-round transport credit, consumed and zeroed by passApply, so zero at every round boundary
 	credit []int64
 
 	x     []int64 // loads at the beginning of the current round
@@ -227,7 +227,10 @@ func (d *Discrete) passZ(_, lo, hi int) {
 //
 //lbvet:hotpath per-round fused kernel over every arc
 func (d *Discrete) passRound(s, lo, hi int) {
-	offsets, arcs, heads, mates := d.offsets, d.arcs, d.heads, d.mates
+	// Only offsets and heads are hoisted: the cold tie and write-back paths
+	// read arcs and mates through d, which keeps the arc loop's live
+	// slices as few as before the halo maps existed (fewer spills).
+	offsets, heads := d.offsets, d.heads
 	alpha := d.stepAlpha
 	prev, next := d.flows, d.flowsNext
 	second, sigma, beta := d.stepSecond, d.stepSigma, d.stepBeta
@@ -249,8 +252,8 @@ func (d *Discrete) passRound(s, lo, hi int) {
 				out[cnt] = 0
 				arcIdx[cnt] = a
 				cnt++
-			} else if y == 0 && int32(i) < arcs[a] {
-				next[mates[a]] = 0
+			} else if y == 0 && int32(i) < d.arcs[a] {
+				next[d.mates[a]] = 0
 				next[a] = 0
 			}
 		}
@@ -261,6 +264,7 @@ func (d *Discrete) passRound(s, lo, hi int) {
 			pcg.Seed(randx.PCGPair3(d.seed, d.stepRound, uint64(i)))
 		}
 		d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
+		mates := d.mates
 		for k := 0; k < cnt; k++ {
 			a := arcIdx[k]
 			next[mates[a]] = -out[k]
@@ -276,7 +280,7 @@ func (d *Discrete) passRound(s, lo, hi int) {
 //lbvet:hotpath per-round kernel over every node and arc
 func (d *Discrete) passApply(s, lo, hi int) {
 	offsets := d.offsets
-	flows, credit := d.flowsNext, d.credit
+	flows := d.flowsNext
 	localT, localE := int64(math.MaxInt64), int64(math.MaxInt64)
 	var localMoved, localMsgs int64
 	for i := lo; i < hi; i++ {
@@ -294,9 +298,9 @@ func (d *Discrete) passApply(s, lo, hi int) {
 			localT = tr
 		}
 		nx := d.x[i] - outSum
-		if credit != nil {
-			nx += credit[i]
-			credit[i] = 0
+		if d.credit != nil { // read through d: a hoisted slice spills the loop's sums
+			nx += d.credit[i]
+			d.credit[i] = 0
 		}
 		d.x[i] = nx
 		if nx < localE {
