@@ -8,9 +8,9 @@ import (
 )
 
 // Checkpoint captures the resumable state of the actor runtime. The Core
-// part is shaped exactly like the shared-memory engine's checkpoint (Flows
-// holds the per-arc net flows, the runtime's SOS memory), so a barrier
-// checkpoint is partition-free: past message versions are never re-read at
+// part is the embedded engine's own checkpoint (Flows holds the per-arc
+// net flows, the runtime's SOS memory), so a barrier checkpoint is
+// partition-free: past message versions are never re-read at
 // staleness 0, and the checkpoint restores into a runtime with ANY actor
 // count — including bit-identical continuation, which the equivalence
 // tests pin. Async checkpoints (Stale > 0) additionally capture the

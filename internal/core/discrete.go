@@ -69,7 +69,7 @@ type Discrete struct {
 	//lint:allow checkpointsync holds the stale previous buffer at round boundaries; Step promotes it into flows
 	flowsNext []int64
 	scheduled []float64 //lint:allow checkpointsync scratch Ŷ(t) per arc, recomputed by passRound before any read
-	z         []float64 //lint:allow checkpointsync scratch x_i/s_i, recomputed by passZ before any read
+	z         []float64 //lint:allow checkpointsync scratch x_i/s_i (then a halo engine's ghost slots), refilled every round before any read
 	// flowsValid mirrors Continuous: SOS memory validity.
 	flowsValid bool
 
@@ -228,8 +228,8 @@ func (d *Discrete) passZ(_, lo, hi int) {
 //lbvet:hotpath per-round fused kernel over every arc
 func (d *Discrete) passRound(s, lo, hi int) {
 	// Only offsets and heads are hoisted: the cold tie and write-back paths
-	// read arcs and mates through d, which keeps the arc loop's live
-	// slices as few as before the halo maps existed (fewer spills).
+	// read arcs and mates through d, so the arc loop keeps few slices live
+	// and its accumulators stay in registers.
 	offsets, heads := d.offsets, d.heads
 	alpha := d.stepAlpha
 	prev, next := d.flows, d.flowsNext
