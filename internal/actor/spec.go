@@ -1,10 +1,14 @@
 package actor
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
+
+// ErrBadSpec reports a malformed actor runtime spec.
+var ErrBadSpec = errors.New("actor: invalid spec")
 
 // Options configures the actor runtime: the actor count (the shard
 // partition — the deployment topology) and the bounded-staleness window.
@@ -27,24 +31,27 @@ type Options struct {
 // sweep.Spec; an empty runtime spec there means the shared-memory engine
 // and is the caller's case to handle, not this parser's.
 func FromSpec(spec string) (Options, error) {
+	bad := func(format string, args ...any) (Options, error) {
+		return Options{}, fmt.Errorf("%w: %q: %s", ErrBadSpec, spec, fmt.Sprintf(format, args...))
+	}
 	rest, ok := strings.CutPrefix(spec, "actor:")
 	if !ok {
-		return Options{}, fmt.Errorf("actor: spec %q: want actor:K[,stale=S]", spec)
+		return bad("want actor:K[,stale=S]")
 	}
 	kStr, tail, hasTail := strings.Cut(rest, ",")
 	k, err := strconv.Atoi(kStr)
 	if err != nil || k < 1 {
-		return Options{}, fmt.Errorf("actor: spec %q: actor count %q must be an integer >= 1", spec, kStr)
+		return bad("actor count %q must be an integer >= 1", kStr)
 	}
 	o := Options{Actors: k}
 	if hasTail {
 		sStr, ok := strings.CutPrefix(tail, "stale=")
 		if !ok {
-			return Options{}, fmt.Errorf("actor: spec %q: unknown option %q, want stale=S", spec, tail)
+			return bad("unknown option %q, want stale=S", tail)
 		}
 		s, err := strconv.Atoi(sStr)
 		if err != nil || s < 0 {
-			return Options{}, fmt.Errorf("actor: spec %q: staleness %q must be an integer >= 0", spec, sStr)
+			return bad("staleness %q must be an integer >= 0", sStr)
 		}
 		o.Stale = s
 	}

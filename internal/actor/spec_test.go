@@ -1,6 +1,7 @@
 package actor_test
 
 import (
+	"errors"
 	"testing"
 
 	"diffusionlb/internal/actor"
@@ -38,8 +39,8 @@ func TestFromSpec(t *testing.T) {
 			if got != tc.want {
 				t.Errorf("FromSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
 			}
-		} else if err == nil {
-			t.Errorf("FromSpec(%q) = %+v, want error", tc.spec, got)
+		} else if !errors.Is(err, actor.ErrBadSpec) {
+			t.Errorf("FromSpec(%q) = %+v, %v, want an actor.ErrBadSpec error", tc.spec, got, err)
 		}
 	}
 }
@@ -70,6 +71,9 @@ func FuzzFromSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		opts, err := actor.FromSpec(spec)
 		if err != nil {
+			if !errors.Is(err, actor.ErrBadSpec) {
+				t.Fatalf("FromSpec(%q) error %v is not an actor.ErrBadSpec", spec, err)
+			}
 			return
 		}
 		if opts.Actors < 1 || opts.Stale < 0 {
