@@ -56,6 +56,12 @@
 //	    to the shared-memory engine, while stale=S bounds how many rounds
 //	    old a neighbour's boundary state may be. -runtime is also a sweep
 //	    axis (';'-separated, since actor specs contain commas).
+//	    A free-form run is one sim.RunSpec in which every part draws
+//	    from -seed and λ comes from the default power iteration.
+//	    -stepworkers N parallelizes each step (-workers N does when
+//	    -stepworkers is unset); the output is the same for every value.
+//	    Every spec is checked before λ is computed, so a typo fails at
+//	    once even on a graph whose power iteration takes minutes.
 //	    -telemetry ADDR serves live observability over HTTP while a
 //	    free-form or -sweep run executes: Prometheus text on /metrics,
 //	    a JSON metrics+trace snapshot on /snapshot and net/http/pprof
@@ -80,11 +86,10 @@ import (
 	"strconv"
 	"strings"
 
-	"diffusionlb"
+	"diffusionlb/internal/actor"
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/envdyn"
 	"diffusionlb/internal/experiments"
-	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/scenario"
 	"diffusionlb/internal/sim"
@@ -122,6 +127,8 @@ func withGrammar(err error) error {
 		return fmt.Errorf("%w\n%s", err, envGrammar)
 	case errors.Is(err, scenario.ErrBadSpec):
 		return fmt.Errorf("%w\n%s", err, scenarioGrammar)
+	case errors.Is(err, actor.ErrBadSpec):
+		return fmt.Errorf("%w\n%s", err, runtimeGrammar)
 	}
 	return err
 }
@@ -140,7 +147,7 @@ func run(args []string) error {
 		experiment   = fs.String("experiment", "", "experiment id to run (or 'all')")
 		full         = fs.Bool("full", false, "use the paper's original sizes")
 		seed         = fs.Uint64("seed", 1, "master seed")
-		workers      = fs.Int("workers", 0, "concurrent scenario cells in -experiment and -sweep modes (0 = one per CPU)")
+		workers      = fs.Int("workers", 0, "concurrent scenario cells in -experiment and -sweep modes (0 = one per CPU); per-step workers in free-form mode unless -stepworkers is set")
 		stepWorkers  = fs.Int("stepworkers", 0, "worker goroutines per simulation step (0 = sequential)")
 		outDir       = fs.String("out", "", "directory for CSV/PNG artifacts")
 		rounds       = fs.Int("rounds", 1000, "rounds for free-form/sweep runs (also overrides experiment rounds when set with -experiment)")
@@ -295,27 +302,6 @@ func run(args []string) error {
 		}
 
 	case *graphSpec != "":
-		g, err := buildGraph(*graphSpec, *seed)
-		if err != nil {
-			return err
-		}
-		speeds, err := buildSpeeds(*speedsSpec, g.NumNodes(), *seed)
-		if err != nil {
-			return withGrammar(err)
-		}
-		sys, err := diffusionlb.NewSystem(g, speeds)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s: n=%d |E|=%d d=%d lambda=%.10f beta_opt=%.10f",
-			g.Name(), g.NumNodes(), g.NumEdges(), g.MaxDegree(), sys.Lambda(), sys.Beta())
-		if speeds != nil {
-			fmt.Printf(" s_max=%.3f", speeds.Max())
-		}
-		fmt.Println()
-		if *spectrum {
-			return nil
-		}
 		// A free-form run is a single cell, so -workers (cell-level
 		// concurrency elsewhere) falls back to meaning per-step
 		// parallelism here unless -stepworkers says otherwise.
@@ -323,15 +309,45 @@ func run(args []string) error {
 		if sw == 0 && !flagWasSet(fs, "stepworkers") {
 			sw = *workers
 		}
-		return freeFormRun(sys, freeFormConfig{
-			scheme: *scheme, rounder: *rounder, rounds: *rounds, avg: *avg,
-			every: *every, csvPath: *csvPath,
-			seed: *seed, workers: sw, tableRows: *tableRows,
-			workload: *workloadSpec, policy: *policySpec, env: *envSpec,
-			scenario: *scenarioSpec, betaReopt: *betaReopt,
-			runtime: *runtimeSpec,
-			telReg:  telReg, telTr: telTr,
-		})
+		// Every part of a free-form run draws from -seed, and λ comes from
+		// the default power iteration, as diffusionlb.NewSystem computes it.
+		spec := sim.RunSpec{
+			Graph: *graphSpec, GraphSeed: *seed, Speeds: *speedsSpec, SpeedsSeed: *seed,
+			StepWorkers: sw, Scheme: *scheme, Rounder: *rounder, Runtime: *runtimeSpec, Seed: *seed,
+			Avg: *avg, Workload: *workloadSpec, WorkloadSeed: *seed, Env: *envSpec, EnvSeed: *seed,
+			Scenario: *scenarioSpec, ScenarioSeed: *seed, Policy: *policySpec,
+			BetaReopt: *betaReopt, Rounds: *rounds, Every: *every,
+		}
+		// Check the specs before the power iteration, which takes minutes
+		// on a large expander.
+		if err := spec.Validate(); err != nil {
+			return withGrammar(err)
+		}
+		sys, err := spec.System()
+		if err != nil {
+			return withGrammar(err)
+		}
+		g := sys.Graph
+		fmt.Printf("%s: n=%d |E|=%d d=%d lambda=%.10f beta_opt=%.10f",
+			g.Name(), g.NumNodes(), g.NumEdges(), g.MaxDegree(), sys.Lambda, sys.Beta)
+		if sys.Speeds != nil {
+			fmt.Printf(" s_max=%.3f", sys.Speeds.Max())
+		}
+		fmt.Println()
+		if *spectrum {
+			return nil
+		}
+		runner, err := spec.Build(sys)
+		if err != nil {
+			return err
+		}
+		if telReg != nil {
+			if rt, ok := runner.Proc.(*actor.Runtime); ok {
+				rt.SetTelemetry(telemetry.NewActorProbe(telReg, telTr, rt.Actors(), false))
+			}
+			runner.Telemetry = telemetry.NewRunProbe(telReg, telTr)
+		}
+		return freeFormRun(runner, *rounds, *csvPath, *tableRows)
 
 	default:
 		fs.Usage()
@@ -394,115 +410,9 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-type freeFormConfig struct {
-	scheme, rounder, csvPath string
-	workload                 string
-	policy                   string
-	env                      string
-	scenario                 string
-	runtime                  string
-	betaReopt                float64
-	rounds                   int
-	avg                      int64
-	every                    int
-	seed                     uint64
-	workers                  int
-	tableRows                int
-	telReg                   *telemetry.Registry
-	telTr                    *telemetry.Trace
-}
-
-func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
-	var kind diffusionlb.Kind
-	switch strings.ToLower(cfg.scheme) {
-	case "fos":
-		kind = diffusionlb.FOS
-	case "sos":
-		kind = diffusionlb.SOS
-	default:
-		return fmt.Errorf("unknown scheme %q (fos|sos)", cfg.scheme)
-	}
-	n := sys.Graph().NumNodes()
-	x0, err := diffusionlb.PointLoad(n, cfg.avg*int64(n), 0)
-	if err != nil {
-		return err
-	}
-
-	var proc diffusionlb.Process
-	switch {
-	case cfg.runtime != "":
-		if cfg.rounder == "continuous" || cfg.rounder == "cumulative" {
-			return fmt.Errorf("-runtime %s cannot run the %q rounder (actor runtimes need a discrete rounder)", cfg.runtime, cfg.rounder)
-		}
-		r, ok := diffusionlb.RounderByName(cfg.rounder)
-		if !ok {
-			return fmt.Errorf("unknown rounder %q", cfg.rounder)
-		}
-		opts, aErr := diffusionlb.ActorFromSpec(cfg.runtime)
-		if aErr != nil {
-			return fmt.Errorf("%w\n%s", aErr, runtimeGrammar)
-		}
-		var rt *diffusionlb.ActorRuntime
-		rt, err = sys.NewActor(kind, r, cfg.seed, x0, opts)
-		if rt != nil && cfg.telReg != nil {
-			rt.SetTelemetry(telemetry.NewActorProbe(cfg.telReg, cfg.telTr, opts.Actors, false))
-		}
-		proc = rt
-	case cfg.rounder == "continuous":
-		xf := make([]float64, n)
-		for i, v := range x0 {
-			xf[i] = float64(v)
-		}
-		proc, err = sys.NewContinuous(kind, xf)
-	case cfg.rounder == "cumulative":
-		proc, err = sys.NewCumulative(kind, x0)
-	default:
-		r, ok := diffusionlb.RounderByName(cfg.rounder)
-		if !ok {
-			return fmt.Errorf("unknown rounder %q", cfg.rounder)
-		}
-		proc, err = sys.NewDiscrete(kind, r, cfg.seed, x0)
-	}
-	if err != nil {
-		return err
-	}
-
-	every := cfg.every
-	if every <= 0 {
-		every = cfg.rounds / 100
-		if every < 1 {
-			every = 1
-		}
-	}
-	policy, err := diffusionlb.PolicyFromSpec(cfg.policy)
-	if err != nil {
-		return withGrammar(err)
-	}
-	wl, err := diffusionlb.WorkloadFromSpec(cfg.workload, n, cfg.seed)
-	if err != nil {
-		return withGrammar(err)
-	}
-	env, err := diffusionlb.EnvironmentFromSpec(cfg.env, n, cfg.seed)
-	if err != nil {
-		return withGrammar(err)
-	}
-	scn, err := diffusionlb.ScenarioFromSpec(cfg.scenario, n, cfg.seed)
-	if err != nil {
-		return withGrammar(err)
-	}
-	var reopt *diffusionlb.BetaReopt
-	if cfg.betaReopt > 0 {
-		reopt = &diffusionlb.BetaReopt{Threshold: cfg.betaReopt}
-	} else if cfg.betaReopt < 0 {
-		return fmt.Errorf("-betareopt %g must be >= 0 (0 = off)", cfg.betaReopt)
-	}
-	runner := &diffusionlb.Runner{Proc: proc, Every: every, Adaptive: policy,
-		Metrics:  sim.MetricsFor(sys.Operator().Speeds(), wl, env, scn),
-		Workload: wl, Environment: env, Scenario: scn, BetaReopt: reopt}
-	if cfg.telReg != nil {
-		runner.Telemetry = telemetry.NewRunProbe(cfg.telReg, cfg.telTr)
-	}
-	res, err := runner.Run(cfg.rounds)
+// freeFormRun runs a free-form run and prints its events and series.
+func freeFormRun(runner *sim.Runner, rounds int, csvPath string, tableRows int) error {
+	res, err := runner.Run(rounds)
 	if err != nil {
 		return err
 	}
@@ -532,11 +442,11 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 	if res.StaleBetaRounds > 0 {
 		fmt.Printf("rounds spent on stale beta: %d\n", res.StaleBetaRounds)
 	}
-	if err := res.Series.WriteTable(os.Stdout, cfg.tableRows); err != nil {
+	if err := res.Series.WriteTable(os.Stdout, tableRows); err != nil {
 		return err
 	}
-	if cfg.csvPath != "" {
-		f, err := os.Create(cfg.csvPath)
+	if csvPath != "" {
+		f, err := os.Create(csvPath)
 		if err != nil {
 			return err
 		}
@@ -544,17 +454,7 @@ func freeFormRun(sys *diffusionlb.System, cfg freeFormConfig) error {
 		if err := res.Series.WriteCSV(f); err != nil {
 			return err
 		}
-		fmt.Printf("series written to %s\n", cfg.csvPath)
+		fmt.Printf("series written to %s\n", csvPath)
 	}
 	return nil
-}
-
-// buildSpeeds parses the -speeds spec ("" = homogeneous/nil).
-func buildSpeeds(spec string, n int, seed uint64) (*diffusionlb.Speeds, error) {
-	return hetero.SpeedsFromSpec(spec, n, seed)
-}
-
-// buildGraph parses the -graph spec.
-func buildGraph(spec string, seed uint64) (*diffusionlb.Graph, error) {
-	return graph.FromSpec(spec, seed)
 }

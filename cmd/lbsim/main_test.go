@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,18 +32,16 @@ func TestBuildGraphSpecs(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.spec, func(t *testing.T) {
-			g, err := buildGraph(tc.spec, 1)
+			args := []string{"-graph", tc.spec, "-spectrum"}
 			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("buildGraph(%q) should fail", tc.spec)
+				if err := run(args); err == nil {
+					t.Fatalf("-graph %q should fail", tc.spec)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.NumNodes() != tc.wantNodes {
-				t.Errorf("buildGraph(%q) has %d nodes, want %d", tc.spec, g.NumNodes(), tc.wantNodes)
+			header := string(runStdout(t, args))
+			if want := fmt.Sprintf(" n=%d ", tc.wantNodes); !strings.Contains(header, want) {
+				t.Errorf("-graph %q header %q does not show%s", tc.spec, header, want)
 			}
 		})
 	}
@@ -94,8 +94,9 @@ func TestRunFreeForm(t *testing.T) {
 }
 
 func TestBuildSpeeds(t *testing.T) {
-	if sp, err := buildSpeeds("", 10, 1); err != nil || sp != nil {
-		t.Errorf("empty spec should give nil speeds, got %v, %v", sp, err)
+	// The homogeneous network prints no s_max.
+	if header := string(runStdout(t, []string{"-graph", "cycle:10", "-spectrum"})); strings.Contains(header, "s_max") {
+		t.Errorf("empty spec should give homogeneous speeds, got header %q", header)
 	}
 	cases := []struct {
 		spec    string
@@ -107,18 +108,19 @@ func TestBuildSpeeds(t *testing.T) {
 		{"single:3:5", 5},
 	}
 	for _, tc := range cases {
-		sp, err := buildSpeeds(tc.spec, 50, 1)
-		if err != nil {
-			t.Errorf("buildSpeeds(%q): %v", tc.spec, err)
+		header := string(runStdout(t, []string{"-graph", "cycle:50", "-speeds", tc.spec, "-spectrum"}))
+		_, sMax, ok := strings.Cut(strings.TrimSpace(header), " s_max=")
+		if !ok {
+			t.Errorf("-speeds %q header %q shows no s_max", tc.spec, header)
 			continue
 		}
-		if sp.Max() > tc.wantMax+1e-9 {
-			t.Errorf("buildSpeeds(%q): max %g > %g", tc.spec, sp.Max(), tc.wantMax)
+		if v, err := strconv.ParseFloat(sMax, 64); err != nil || v > tc.wantMax+1e-9 {
+			t.Errorf("-speeds %q: s_max %s > %g", tc.spec, sMax, tc.wantMax)
 		}
 	}
 	for _, bad := range []string{"twoclass", "twoclass:0.5", "bogus:1", "range:x"} {
-		if _, err := buildSpeeds(bad, 10, 1); err == nil {
-			t.Errorf("buildSpeeds(%q) should fail", bad)
+		if err := run([]string{"-graph", "cycle:10", "-speeds", bad, "-spectrum"}); err == nil {
+			t.Errorf("-speeds %q should fail", bad)
 		}
 	}
 }
@@ -303,6 +305,7 @@ func TestSpecErrorsPrintGrammar(t *testing.T) {
 		{[]string{"-sweep", "-graph", "cycle:8", "-speeds", "warp:9", "-rounds", "10"}, "speeds grammar"},
 		{[]string{"-sweep", "-graph", "cycle:8", "-policy", "warp:9", "-rounds", "10"}, "policy grammar"},
 		{[]string{"-sweep", "-graph", "cycle:8", "-scenario", "warp:x=1", "-rounds", "10"}, "scenario grammar"},
+		{[]string{"-sweep", "-graph", "cycle:8", "-runtime", "actor:0", "-rounds", "10"}, "runtime grammar"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)
@@ -312,6 +315,20 @@ func TestSpecErrorsPrintGrammar(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) error %q does not show the %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestAvgOverflowRejected: an initial load avg·n beyond int64 fails in
+// both modes instead of running on a wrapped-around token count.
+func TestAvgOverflowRejected(t *testing.T) {
+	const avg = "4611686018427387905" // 2^62 + 1: avg·4 wraps to 4
+	for _, args := range [][]string{
+		{"-graph", "cycle:4", "-avg", avg, "-scheme", "fos", "-rounds", "2"},
+		{"-sweep", "-graph", "cycle:4", "-avg", avg, "-scheme", "fos", "-rounds", "2", "-format", "csv"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("run(%v): err = %v, want an int64 overflow error", args, err)
 		}
 	}
 }

@@ -87,8 +87,8 @@ type Config struct {
 	// sequential. Results are identical for every value.
 	Workers int
 	// Layout optionally shares a prebuilt shard layout across engines on
-	// the same graph (sweep builds one per topology instead of one per
-	// cell). nil builds shard.ForWorkers(Op.Graph(), Workers). A non-nil
+	// the same graph (sim.System holds one per topology, shared by every
+	// run on it). nil builds shard.ForWorkers(Op.Graph(), Workers). A non-nil
 	// layout must partition Op's graph; its shard count is free to differ
 	// from ShardsFor(n, Workers) — results are shard-count-independent.
 	Layout *shard.Layout

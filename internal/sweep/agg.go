@@ -84,7 +84,7 @@ func (g Group) Label() string {
 // aggregate collapses the per-cell series (indexed like cells) into groups.
 // Summation runs in replicate order, so the floating-point results are
 // identical for every worker count.
-func aggregate(spec Spec, cells []Cell, series []*sim.Series, switches [][]core.SwitchEvent, systems map[sysKey]*system) (*Result, error) {
+func aggregate(spec Spec, cells []Cell, series []*sim.Series, switches [][]core.SwitchEvent, systems map[sysKey]*sim.System) (*Result, error) {
 	res := &Result{Spec: spec}
 	for start := 0; start < len(cells); start += spec.Replicates {
 		g, err := aggregateGroup(spec, cells[start],
@@ -101,18 +101,18 @@ func aggregate(spec Spec, cells []Cell, series []*sim.Series, switches [][]core.
 // aggregateGroup collapses the replicates of one coordinate into a Group —
 // the unit both the in-memory aggregate and the streaming CSV sink share,
 // which is what pins their outputs byte-identical.
-func aggregateGroup(spec Spec, c Cell, reps []*sim.Series, switches [][]core.SwitchEvent, sys *system) (Group, error) {
+func aggregateGroup(spec Spec, c Cell, reps []*sim.Series, switches [][]core.SwitchEvent, sys *sim.System) (Group, error) {
 	base := reps[0]
 	names := base.Names()
 	beta := c.Beta
 	if beta == 0 {
-		beta = sys.beta
+		beta = sys.Beta
 	}
 	g := Group{
 		Graph: c.Graph, Scheme: c.Scheme, Rounder: c.Rounder, Runtime: c.Runtime,
 		Speeds: c.Speeds, Workload: c.Workload, Environment: c.Environment,
 		Scenario: c.Scenario, Policy: c.Policy, Beta: beta,
-		Lambda: sys.lambda, Nodes: sys.g.NumNodes(),
+		Lambda: sys.Lambda, Nodes: sys.Graph.NumNodes(),
 		Replicates: spec.Replicates,
 	}
 	if c.Policy != "" {

@@ -2,19 +2,19 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 
-	"diffusionlb/internal/actor"
 	"diffusionlb/internal/core"
-	"diffusionlb/internal/envdyn"
 	"diffusionlb/internal/randx"
-	"diffusionlb/internal/scenario"
-	"diffusionlb/internal/workload"
+	"diffusionlb/internal/sim"
 )
 
 // Spec describes a grid of independent simulation cells as the cross
 // product of its axes. Axis values use the same textual syntax as the lbsim
-// CLI (graph.FromSpec, hetero.SpeedsFromSpec, core.RounderByName).
+// CLI (graph.FromSpec, hetero.SpeedsFromSpec, core.RounderByName). Every
+// cell is one sim.RunSpec, and Run, StreamCSV and StreamJSON validate the
+// spec before any cell runs or any byte is written: each expanded cell
+// must pass sim.RunSpec.Validate, and each (graph, speeds) system must
+// build.
 type Spec struct {
 	// Graphs lists graph specs, e.g. "torus2d:64x64", "hypercube:10".
 	Graphs []string `json:"graphs"`
@@ -133,7 +133,10 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// validate rejects malformed axes before any cell runs.
+// validate rejects a malformed spec before any cell runs: the spec needs a
+// graph, a scheme and a round budget, and every expanded cell must pass
+// sim.RunSpec.Validate. Graph and speeds specs are checked when their
+// systems are built, which is still before any cell runs.
 func (s Spec) validate() error {
 	if len(s.Graphs) == 0 {
 		return fmt.Errorf("sweep: spec needs at least one graph")
@@ -141,89 +144,15 @@ func (s Spec) validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("sweep: spec needs at least one scheme")
 	}
-	for _, sc := range s.Schemes {
-		if _, err := parseKind(sc); err != nil {
-			return err
-		}
-	}
-	for _, r := range s.Rounders {
-		if r != "continuous" && r != "cumulative" {
-			if _, ok := core.RounderByName(r); !ok {
-				return fmt.Errorf("sweep: unknown rounder %q", r)
-			}
-		}
-	}
-	for _, rt := range s.Runtimes {
-		if rt == "" {
-			continue
-		}
-		if _, err := actor.FromSpec(rt); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		// The actor runtime moves integer tokens; the idealized and
-		// cumulative baselines have no actor equivalent.
-		for _, r := range s.Rounders {
-			if r == "continuous" || r == "cumulative" {
-				return fmt.Errorf("sweep: runtime %q cannot run the %q rounder (actor runtimes need a discrete rounder)", rt, r)
-			}
-		}
-	}
-	for _, wl := range s.Workloads {
-		if err := workload.ValidateSpec(wl); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, env := range s.Environments {
-		if err := envdyn.ValidateSpec(env); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, sc := range s.Scenarios {
-		if err := scenario.ValidateSpec(sc); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	// A scenario owns the speed timeline; the cross product would pair every
-	// non-empty environment with every non-empty scenario, which the runner
-	// rejects cell by cell — reject the spec up front instead.
-	for _, env := range s.Environments {
-		if env == "" {
-			continue
-		}
-		for _, sc := range s.Scenarios {
-			if sc != "" {
-				return fmt.Errorf("sweep: environments and scenarios cannot combine (%q x %q): a scenario owns the speed timeline", env, sc)
-			}
-		}
-	}
-	for _, ps := range s.Policies {
-		if _, err := core.PolicyFromSpec(ps); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, b := range s.Betas {
-		// 0 selects β_opt; core needs SOS β strictly inside (0, 2), so
-		// reject the boundary here rather than after system construction.
-		if b < 0 || b >= 2 {
-			return fmt.Errorf("sweep: beta %g outside [0, 2)", b)
-		}
-	}
 	if s.Rounds <= 0 {
 		return fmt.Errorf("sweep: spec needs Rounds > 0, got %d", s.Rounds)
 	}
-	return nil
-}
-
-// parseKind maps a scheme name to the core kind.
-func parseKind(scheme string) (core.Kind, error) {
-	switch strings.ToLower(scheme) {
-	case "fos":
-		return core.FOS, nil
-	case "sos":
-		return core.SOS, nil
-	default:
-		return 0, fmt.Errorf("sweep: unknown scheme %q (fos|sos)", scheme)
+	for _, c := range s.Expand() {
+		if err := cellSpec(s, c).Validate(); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
 	}
+	return nil
 }
 
 // Cell is one fully resolved simulation to run: a coordinate in the sweep
@@ -269,7 +198,7 @@ func (s Spec) Expand() []Cell {
 	for gi, g := range s.Graphs {
 		for si, sc := range s.Schemes {
 			schemeBetas := s.Betas
-			if kind, err := parseKind(sc); err == nil && kind == core.FOS {
+			if kind, err := sim.ParseScheme(sc); err == nil && kind == core.FOS {
 				schemeBetas = fosBetas
 			}
 			for ri, rd := range s.Rounders {
@@ -324,7 +253,7 @@ func (s Spec) NumCells() int {
 	perGraph := 0
 	for _, sc := range s.Schemes {
 		nb := len(s.Betas)
-		if kind, err := parseKind(sc); err == nil && kind == core.FOS {
+		if kind, err := sim.ParseScheme(sc); err == nil && kind == core.FOS {
 			nb = 1
 		}
 		perGraph += nb * len(s.Rounders) * len(s.Runtimes) * len(s.Speeds) * len(s.Workloads) * len(s.Environments) * len(s.Scenarios) * len(s.Policies) * s.Replicates

@@ -100,7 +100,7 @@ func StreamJSON(ctx context.Context, spec Spec, opts Options, w io.Writer) error
 // still-running one buffer until the gap closes.
 func streamGroups(ctx context.Context, spec Spec, opts Options, emit func(Group) error) error {
 	cells := spec.Expand()
-	systems, err := buildSystems(ctx, spec, cells, opts.Workers)
+	systems, err := buildSystems(ctx, spec, opts.Workers)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -128,6 +129,15 @@ func TestSpecValidation(t *testing.T) {
 	s := Spec{Graphs: []string{"martian:4"}, Schemes: []string{"sos"}, Rounds: 10}
 	if _, err := Run(context.Background(), s, Options{}); err == nil {
 		t.Error("bad graph spec should fail")
+	}
+}
+
+// TestAvgOverflowRejected: a Spec.Avg whose avg·n overflows int64 fails
+// the run instead of placing a wrapped-around token count.
+func TestAvgOverflowRejected(t *testing.T) {
+	s := Spec{Graphs: []string{"cycle:4"}, Schemes: []string{"fos"}, Rounds: 2, Avg: math.MaxInt64/4 + 1}
+	if _, err := Run(context.Background(), s, Options{}); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Errorf("Avg %d on 4 nodes: err = %v, want an int64 overflow error", s.Avg, err)
 	}
 }
 
