@@ -42,8 +42,8 @@ func runStdout(t *testing.T, args []string) []byte {
 // branch of the run builder (each rounder, both actor modes, speeds,
 // workload, policy, env and scenario with β re-opt, -spectrum) and CSV and
 // JSON sweeps over every axis, on graphs whose λ comes in closed form
-// (torus2d, hypercube) and by power iteration (regular). The digests were
-// recorded before free-form runs and sweep cells shared one builder.
+// (torus2d, hypercube) and by power iteration (regular). A change that
+// moves a digest changes what lbsim prints; re-pin only on purpose.
 func TestStdoutDigests(t *testing.T) {
 	cases := []struct {
 		name   string

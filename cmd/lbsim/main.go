@@ -339,7 +339,7 @@ func run(args []string) error {
 		}
 		runner, err := spec.Build(sys)
 		if err != nil {
-			return err
+			return withGrammar(err)
 		}
 		if telReg != nil {
 			if rt, ok := runner.Proc.(*actor.Runtime); ok {
