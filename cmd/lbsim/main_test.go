@@ -294,6 +294,9 @@ func TestSpecErrorsPrintGrammar(t *testing.T) {
 		{[]string{"-graph", "torus2d:4x4", "-speeds", "warp:9"}, "speeds grammar"},
 		{[]string{"-graph", "torus2d:4x4", "-speeds", "twoclass:0.5"}, "speeds grammar"},
 		{[]string{"-graph", "torus2d:4x4", "-workload", "tsunami:9"}, "workload grammar"},
+		// Specs are checked before the topology is built and λ computed,
+		// so the workload error wins over the unknown graph.
+		{[]string{"-graph", "martian:4", "-workload", "tsunami:9"}, "workload grammar"},
 		// A node index is checked against n only when the run is built.
 		{[]string{"-graph", "torus2d:4x4", "-workload", "burst:5:10:99"}, "workload grammar"},
 		{[]string{"-graph", "torus2d:4x4", "-policy", "warp:9"}, "policy grammar"},
