@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"diffusionlb/internal/core"
@@ -209,15 +210,25 @@ func TestRunnerWorkloadRequiresInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{Proc: noInject{proc}, Workload: wl}
-	if _, err := runner.Run(5); err == nil {
-		t.Fatal("Runner should reject a workload on a process without Inject")
-	}
 	// A lockstep reference without Inject would silently drift instead of
 	// seeing the same arrivals — also a configuration error.
-	runner = &Runner{Proc: proc, Lockstep: []core.Process{noInject{proc}}, Workload: wl}
-	if _, err := runner.Run(5); err == nil {
-		t.Fatal("Runner should reject a workload with a non-injectable lockstep process")
+	expectRejected(t, &Runner{Proc: noInject{proc}, Workload: wl},
+		`Workload "poisson:1" set but process sim.noInject does not implement core.Injector`)
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{noInject{proc}}, Workload: wl},
+		`Workload "poisson:1" set but lockstep process sim.noInject does not implement core.Injector`)
+}
+
+// expectRejected requires r.Run to fail with an error containing want
+// before any process has stepped.
+func expectRejected(t *testing.T, r *Runner, want string) {
+	t.Helper()
+	if _, err := r.Run(5); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run error %v, want one containing %q", err, want)
+	}
+	for _, p := range append([]core.Process{r.Proc}, r.Lockstep...) {
+		if got := p.Round(); got != 0 {
+			t.Errorf("%s: %T stepped to round %d before the rejection", want, p, got)
+		}
 	}
 }
 

@@ -131,21 +131,18 @@ func TestRunnerEnvironmentRequiresRetargeter(t *testing.T) {
 		t.Fatal(err)
 	}
 	dyn := f.dynamics(t)
-	if _, err := (&Runner{Proc: noRetarget{proc}, Environment: dyn}).Run(5); err == nil {
-		t.Fatal("Runner should reject an environment on a process without Retarget")
-	}
-	if _, err := (&Runner{Proc: proc, Lockstep: []core.Process{noRetarget{proc}}, Environment: dyn}).Run(5); err == nil {
-		t.Fatal("Runner should reject a non-retargetable lockstep process")
-	}
-	// A lockstep reference on its own operator copy would chase stale
-	// targets.
 	other, err := core.NewContinuous(core.Config{Op: f.operator(t), Kind: core.FOS}, make([]float64, f.n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Runner{Proc: proc, Lockstep: []core.Process{other}, Environment: dyn}).Run(5); err == nil {
-		t.Fatal("Runner should reject a lockstep process on a different operator")
-	}
+	expectRejected(t, &Runner{Proc: noRetarget{proc}, Environment: dyn},
+		"but process sim.noRetarget does not implement core.Retargeter")
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{noRetarget{proc}}, Environment: dyn},
+		"but lockstep process sim.noRetarget does not implement core.Retargeter")
+	// A lockstep reference on its own operator copy would chase stale
+	// targets.
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{other}, Environment: dyn},
+		"but lockstep process *core.Continuous does not share the main operator")
 }
 
 // noRetarget hides the Retarget method of an embedded process.

@@ -148,19 +148,20 @@ func TestRunnerScenarioConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Runner{Proc: proc, Scenario: sc, Environment: env}).Run(3); err == nil {
-		t.Error("Runner should reject Scenario and Environment together")
-	}
-	if _, err := (&Runner{Proc: noRetarget{proc}, Scenario: sc}).Run(3); err == nil {
-		t.Error("Runner should reject a scenario on a process without Retarget")
-	}
 	cont, err := core.NewContinuous(core.Config{Op: f.operator(t), Kind: core.FOS}, make([]float64, f.n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Runner{Proc: proc, Lockstep: []core.Process{cont}, Scenario: sc}).Run(3); err == nil {
-		t.Error("Runner should reject a lockstep process on a different operator")
-	}
+	expectRejected(t, &Runner{Proc: proc, Scenario: sc, Environment: env},
+		"set either Runner.Environment or Runner.Scenario, not both")
+	expectRejected(t, &Runner{Proc: noRetarget{proc}, Scenario: sc},
+		"but process sim.noRetarget does not implement core.Retargeter")
+	expectRejected(t, &Runner{Proc: noInject{proc}, Scenario: sc},
+		`Scenario "drain:at=5,frac=0.25" set but process sim.noInject does not implement core.Injector`)
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{noInject{proc}}, Scenario: sc},
+		`Scenario "drain:at=5,frac=0.25" set but lockstep process sim.noInject does not implement core.Injector`)
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{cont}, Scenario: sc},
+		"but lockstep process *core.Continuous does not share the main operator")
 }
 
 // TestScenarioCheckpointResumeMidRamp is the satellite coverage: a run cut
@@ -545,9 +546,10 @@ func TestRunnerBetaReoptRequiresBetaSetter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Runner{Proc: noSetBeta{proc}, BetaReopt: &BetaReopt{}}).Run(3); err == nil {
-		t.Error("Runner should reject BetaReopt on a process without SetBeta")
-	}
+	expectRejected(t, &Runner{Proc: noSetBeta{proc}, BetaReopt: &BetaReopt{}},
+		"BetaReopt set but process sim.noSetBeta does not implement core.BetaSetter")
+	expectRejected(t, &Runner{Proc: proc, Lockstep: []core.Process{noSetBeta{proc}}, BetaReopt: &BetaReopt{}},
+		"BetaReopt set but lockstep process sim.noSetBeta does not implement core.BetaSetter")
 }
 
 // noSetBeta hides the SetBeta method of an embedded process.
