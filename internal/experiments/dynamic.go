@@ -82,11 +82,11 @@ func churnScenario(p Params) churnSetup {
 func runChurnVariants(p Params) (churnSetup, []churnOutcome, error) {
 	p = p.withDefaults()
 	setup := churnScenario(p)
-	sys, err := torusSystem(setup.side, setup.side)
+	sys, err := p.topology(torus(setup.side), "")
 	if err != nil {
 		return setup, nil, err
 	}
-	n := sys.g.NumNodes()
+	n := sys.Graph.NumNodes()
 	setup.n = n
 	burst := int64(50 * n)
 	churnBatch := int64(n / 10)
@@ -101,7 +101,7 @@ func runChurnVariants(p Params) (churnSetup, []churnOutcome, error) {
 	results := make([]churnOutcome, len(variants))
 	err = p.runCells(len(variants), func(i int) error {
 		v := variants[i]
-		proc, err := sys.discrete(v.kind, p, x0)
+		proc, err := p.discrete(sys, v.kind, x0)
 		if err != nil {
 			return err
 		}

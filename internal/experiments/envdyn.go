@@ -6,15 +6,9 @@ import (
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/envdyn"
-	"diffusionlb/internal/graph"
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/sim"
 )
-
-// graphTorus is the bare torus constructor (torusSystem also builds the
-// homogeneous operator, which the heterogeneous experiments don't want).
-func graphTorus(w, h int) (*graph.Graph, error) { return graph.Torus2D(w, h) }
 
 func init() {
 	register(Experiment{
@@ -83,24 +77,16 @@ func throttleScenario(p Params) throttleSetup {
 func runThrottleVariants(p Params) (throttleSetup, []throttleOutcome, error) {
 	p = p.withDefaults()
 	setup := throttleScenario(p)
-	n := setup.side * setup.side
-	setup.n = n
-	sp, err := hetero.TwoClass(n, 0.25, 4, p.Seed)
-	if err != nil {
-		return setup, nil, err
-	}
-	g, err := graphTorus(setup.side, setup.side)
-	if err != nil {
-		return setup, nil, err
-	}
 	// The heterogeneous operator needs its own power iteration; build it
 	// once and clone per variant — environment dynamics reweight in place,
 	// so concurrent cells must not share the operator.
-	sys, err := newSystem(g, sp, 0)
+	sys, err := p.topology(torus(setup.side), "twoclass:0.25:4")
 	if err != nil {
 		return setup, nil, err
 	}
-	x0, err := metrics.ProportionalLoad(int64(n)*1000, sp)
+	n := sys.Graph.NumNodes()
+	setup.n = n
+	x0, err := metrics.ProportionalLoad(int64(n)*1000, sys.Speeds)
 	if err != nil {
 		return setup, nil, err
 	}
@@ -109,8 +95,8 @@ func runThrottleVariants(p Params) (throttleSetup, []throttleOutcome, error) {
 	results := make([]throttleOutcome, len(variants))
 	err = p.runCells(len(variants), func(i int) error {
 		v := variants[i]
-		op := sys.op.Clone()
-		cfg := core.Config{Op: op, Kind: v.kind, Beta: sys.beta, Workers: p.Workers}
+		cfg := p.config(sys, v.kind)
+		cfg.Op = sys.Op.Clone()
 		proc, err := core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
 		if err != nil {
 			return err

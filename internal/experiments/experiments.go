@@ -26,11 +26,8 @@ import (
 	"sort"
 
 	"diffusionlb/internal/core"
-	"diffusionlb/internal/graph"
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/sim"
-	"diffusionlb/internal/spectral"
 	"diffusionlb/internal/sweep"
 )
 
@@ -142,46 +139,19 @@ func ByID(id string) (Experiment, bool) {
 
 // --- shared construction helpers ---
 
-// system bundles a graph with its diffusion operator and spectral data.
-type system struct {
-	g      *graph.Graph
-	op     *spectral.Operator
-	lambda float64
-	beta   float64
+// topology builds an experiment's graph, speeds ("" = homogeneous),
+// operator, shard layout, λ and β_opt with sim.RunSpec.System, the builder
+// lbsim and sweep cells use. Both specs draw from p.Seed. λ takes the
+// closed form on homogeneous tori and hypercubes and otherwise comes from
+// the power iteration at Tol 1e-10 (sim.LambdaClosedForm), as sweep cells
+// compute it.
+func (p Params) topology(graphSpec, speedsSpec string) (*sim.System, error) {
+	return sim.RunSpec{Graph: graphSpec, Speeds: speedsSpec, GraphSeed: p.Seed, SpeedsSeed: p.Seed,
+		Lambda: sim.LambdaClosedForm, StepWorkers: p.Workers}.System()
 }
 
-// newSystem builds the operator and determines λ and β_opt, preferring
-// analytic spectra where available.
-func newSystem(g *graph.Graph, sp *hetero.Speeds, analyticLambda float64) (*system, error) {
-	op, err := spectral.NewOperator(g, sp, nil)
-	if err != nil {
-		return nil, err
-	}
-	lam := analyticLambda
-	if lam <= 0 {
-		lam, _, err = op.SecondEigenvalue(spectral.PowerOptions{Tol: 1e-10})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: lambda for %s: %w", g.Name(), err)
-		}
-	}
-	beta, err := spectral.BetaOpt(lam)
-	if err != nil {
-		return nil, err
-	}
-	return &system{g: g, op: op, lambda: lam, beta: beta}, nil
-}
-
-func torusSystem(w, h int) (*system, error) {
-	g, err := graph.Torus2D(w, h)
-	if err != nil {
-		return nil, err
-	}
-	lam, err := spectral.AnalyticTorus2DLambda(w, h)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(g, nil, lam)
-}
+// torus is the graph spec of the side×side 2-d torus.
+func torus(side int) string { return fmt.Sprintf("torus2d:%dx%d", side, side) }
 
 // pointLoadDiscrete builds the paper's default initialization: avg·n tokens
 // on node v0 = 0.
@@ -198,16 +168,19 @@ func toFloat(x []int64) []float64 {
 	return out
 }
 
-// discreteSOS / discreteFOS / continuousOf are small constructors shared by
-// the figure experiments.
-func (s *system) discrete(kind core.Kind, p Params, x0 []int64) (*core.Discrete, error) {
-	cfg := core.Config{Op: s.op, Kind: kind, Beta: s.beta, Workers: p.Workers}
-	return core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
+// config is the engine configuration of a run on sys's operator and layout.
+func (p Params) config(sys *sim.System, kind core.Kind) core.Config {
+	return core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
 }
 
-func (s *system) continuous(kind core.Kind, p Params, x0 []float64) (*core.Continuous, error) {
-	cfg := core.Config{Op: s.op, Kind: kind, Beta: s.beta, Workers: p.Workers}
-	return core.NewContinuous(cfg, x0)
+// discrete and continuous are the randomized-rounding and idealized
+// processes the figure experiments compare.
+func (p Params) discrete(sys *sim.System, kind core.Kind, x0 []int64) (*core.Discrete, error) {
+	return core.NewDiscrete(p.config(sys, kind), core.RandomizedRounder{}, p.Seed, x0)
+}
+
+func (p Params) continuous(sys *sim.System, kind core.Kind, x0 []float64) (*core.Continuous, error) {
+	return core.NewContinuous(p.config(sys, kind), x0)
 }
 
 // writeSeries prints the table and optionally dumps CSV into OutDir.

@@ -6,8 +6,6 @@ import (
 
 	"diffusionlb/internal/baselines"
 	"diffusionlb/internal/core"
-	"diffusionlb/internal/graph"
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 )
 
@@ -38,7 +36,7 @@ func runTraffic(w io.Writer, p Params) error {
 	e, _ := ByID("traffic")
 	side := p.size(20, 32, 100)
 	maxRounds := p.rounds(4000, 4000)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
@@ -46,7 +44,7 @@ func runTraffic(w io.Writer, p Params) error {
 		side, side, maxRounds)); err != nil {
 		return err
 	}
-	n := sys.g.NumNodes()
+	n := sys.Graph.NumNodes()
 	x0, err := pointLoadDiscrete(n, 1000)
 	if err != nil {
 		return err
@@ -57,16 +55,16 @@ func runTraffic(w io.Writer, p Params) error {
 		make func() (trafficProcess, error)
 	}{
 		{"FOS randomized", func() (trafficProcess, error) {
-			return sys.discrete(core.FOS, p, x0)
+			return p.discrete(sys, core.FOS, x0)
 		}},
 		{"SOS randomized", func() (trafficProcess, error) {
-			return sys.discrete(core.SOS, p, x0)
+			return p.discrete(sys, core.SOS, x0)
 		}},
 		{"random matching [17]", func() (trafficProcess, error) {
-			return baselines.NewMatchingBalancer(sys.op, p.Seed, x0)
+			return baselines.NewMatchingBalancer(sys.Op, p.Seed, x0)
 		}},
 		{"random walks [13]", func() (trafficProcess, error) {
-			return baselines.NewRandomWalkBalancer(sys.op, p.Seed, x0)
+			return baselines.NewRandomWalkBalancer(sys.Op, p.Seed, x0)
 		}},
 	}
 	fmt.Fprintf(w, "\n%-22s %8s %6s %16s %16s %14s\n",
@@ -101,21 +99,10 @@ func runHetero(w io.Writer, p Params) error {
 		return err
 	}
 
-	type caseDef struct {
-		label string
-		build func() (*graph.Graph, error)
-		speed func(n int) (*hetero.Speeds, error)
-	}
-	cases := []caseDef{
-		{"torus two-class s∈{1,4}",
-			func() (*graph.Graph, error) { return graph.Torus2D(side, side) },
-			func(n int) (*hetero.Speeds, error) { return hetero.TwoClass(n, 0.25, 4, p.Seed) }},
-		{"torus power-law s_max=16",
-			func() (*graph.Graph, error) { return graph.Torus2D(side, side) },
-			func(n int) (*hetero.Speeds, error) { return hetero.PowerLaw(n, 2.2, 16, p.Seed) }},
-		{"CM d=10 two-class s∈{1,4}",
-			func() (*graph.Graph, error) { return graph.RandomRegular(side*side, 10, p.Seed) },
-			func(n int) (*hetero.Speeds, error) { return hetero.TwoClass(n, 0.25, 4, p.Seed) }},
+	cases := []struct{ label, graph, speeds string }{
+		{"torus two-class s∈{1,4}", torus(side), "twoclass:0.25:4"},
+		{"torus power-law s_max=16", torus(side), "powerlaw:2.2:16"},
+		{"CM d=10 two-class s∈{1,4}", fmt.Sprintf("regular:%d:10", side*side), "twoclass:0.25:4"},
 	}
 
 	fmt.Fprintf(w, "\n%-28s %5s %12s %10s %12s %14s %16s\n",
@@ -125,24 +112,17 @@ func runHetero(w io.Writer, p Params) error {
 	rows := make([][2]string, len(cases))
 	if err := p.runCells(len(cases), func(ci int) error {
 		c := cases[ci]
-		g, err := c.build()
+		sys, err := p.topology(c.graph, c.speeds)
 		if err != nil {
 			return err
 		}
-		sp, err := c.speed(g.NumNodes())
-		if err != nil {
-			return err
-		}
-		sys, err := newSystem(g, sp, 0)
-		if err != nil {
-			return err
-		}
-		x0, err := pointLoadDiscrete(g.NumNodes(), 1000)
+		sp := sys.Speeds
+		x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 		if err != nil {
 			return err
 		}
 		for ki, kind := range []core.Kind{core.FOS, core.SOS} {
-			proc, err := sys.discrete(kind, p, x0)
+			proc, err := p.discrete(sys, kind, x0)
 			if err != nil {
 				return err
 			}
@@ -161,7 +141,7 @@ func runHetero(w io.Writer, p Params) error {
 				}
 			}
 			rows[ci][ki] = fmt.Sprintf("%-28s %5v %12.8f %10.6f %12d %14.2f %16.2f",
-				c.label, kind, sys.lambda, sys.beta, ranRounds, normDisc, worst)
+				c.label, kind, sys.Lambda, sys.Beta, ranRounds, normDisc, worst)
 		}
 		return nil
 	}); err != nil {

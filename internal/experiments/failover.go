@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"diffusionlb/internal/core"
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/scenario"
 	"diffusionlb/internal/sim"
@@ -96,22 +95,14 @@ func failoverScenario(p Params) failoverSetup {
 func runFailoverVariants(p Params) (failoverSetup, []failoverOutcome, error) {
 	p = p.withDefaults()
 	setup := failoverScenario(p)
-	n := setup.side * setup.side
+	sys, err := p.topology(torus(setup.side), "twoclass:0.25:4")
+	if err != nil {
+		return setup, nil, err
+	}
+	n := sys.Graph.NumNodes()
 	setup.n = n
-	sp, err := hetero.TwoClass(n, 0.25, 4, p.Seed)
-	if err != nil {
-		return setup, nil, err
-	}
-	g, err := graphTorus(setup.side, setup.side)
-	if err != nil {
-		return setup, nil, err
-	}
-	sys, err := newSystem(g, sp, 0)
-	if err != nil {
-		return setup, nil, err
-	}
-	setup.preBeta = sys.beta
-	x0, err := metrics.ProportionalLoad(int64(n)*1000, sp)
+	setup.preBeta = sys.Beta
+	x0, err := metrics.ProportionalLoad(int64(n)*1000, sys.Speeds)
 	if err != nil {
 		return setup, nil, err
 	}
@@ -120,8 +111,8 @@ func runFailoverVariants(p Params) (failoverSetup, []failoverOutcome, error) {
 	results := make([]failoverOutcome, len(variants))
 	err = p.runCells(len(variants), func(i int) error {
 		v := variants[i]
-		op := sys.op.Clone()
-		cfg := core.Config{Op: op, Kind: v.kind, Beta: sys.beta, Workers: p.Workers}
+		cfg := p.config(sys, v.kind)
+		cfg.Op = sys.Op.Clone()
 		proc, err := core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
 		if err != nil {
 			return err

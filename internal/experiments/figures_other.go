@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"diffusionlb/internal/core"
-	"diffusionlb/internal/graph"
 	"diffusionlb/internal/sim"
 )
 
@@ -32,8 +31,8 @@ func init() {
 
 // runComparison is the shared shape of Figures 12-14: SOS metrics, FOS
 // max−avg, and a hybrid run switching at switchRound.
-func runComparison(w io.Writer, p Params, name string, sys *system, rounds, every, switchRound int) error {
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+func runComparison(w io.Writer, p Params, name string, sys *sim.System, rounds, every, switchRound int) error {
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
@@ -53,7 +52,7 @@ func runComparison(w io.Writer, p Params, name string, sys *system, rounds, ever
 	prefixes := make([]string, len(cells))
 	if err := p.runCells(len(cells), func(i int) error {
 		c := cells[i]
-		proc, err := sys.discrete(c.kind, p, x0)
+		proc, err := p.discrete(sys, c.kind, x0)
 		if err != nil {
 			return err
 		}
@@ -90,16 +89,12 @@ func runFig12(w io.Writer, p Params) error {
 	e, _ := ByID("fig12")
 	n, d := p.size(2000, 20000, 1_000_000), p.size(11, 14, 19)
 	rounds := p.rounds(100, 100)
-	g, err := graph.RandomRegular(n, d, p.Seed)
-	if err != nil {
-		return err
-	}
-	sys, err := newSystem(g, nil, 0)
+	sys, err := p.topology(fmt.Sprintf("regular:%d:%d", n, d), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("configuration-model random graph n=%d d=%d (paper: n=10^6 d=19), λ=%.6f β=%.6f",
-		n, d, sys.lambda, sys.beta)); err != nil {
+		n, d, sys.Lambda, sys.Beta)); err != nil {
 		return err
 	}
 	return runComparison(w, p, "fig12_random_graph_cm", sys, rounds, 1, 12)
@@ -110,15 +105,11 @@ func runFig13(w io.Writer, p Params) error {
 	e, _ := ByID("fig13")
 	dim := p.size(9, 14, 20)
 	rounds := p.rounds(200, 200)
-	g, err := graph.Hypercube(dim)
+	sys, err := p.topology(fmt.Sprintf("hypercube:%d", dim), "")
 	if err != nil {
 		return err
 	}
-	sys, err := newSystem(g, nil, float64(dim-1)/float64(dim+1))
-	if err != nil {
-		return err
-	}
-	if err := header(w, e, fmt.Sprintf("hypercube n=2^%d (paper: 2^20), λ=%.6f β=%.6f", dim, sys.lambda, sys.beta)); err != nil {
+	if err := header(w, e, fmt.Sprintf("hypercube n=2^%d (paper: 2^20), λ=%.6f β=%.6f", dim, sys.Lambda, sys.Beta)); err != nil {
 		return err
 	}
 	return runComparison(w, p, "fig13_hypercube", sys, rounds, 2, 32)
@@ -129,16 +120,12 @@ func runFig14(w io.Writer, p Params) error {
 	e, _ := ByID("fig14")
 	n := p.size(600, 2500, 10000)
 	rounds := p.rounds(1000, 1000)
-	g, _, err := graph.RandomGeometric(n, p.Seed, graph.GeometricOptions{})
-	if err != nil {
-		return err
-	}
-	sys, err := newSystem(g, nil, 0)
+	sys, err := p.topology(fmt.Sprintf("rgg:%d", n), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("random geometric graph n=%d r=(log n)^1/4 patched connected (paper: n=10^4), λ=%.6f β=%.6f",
-		n, sys.lambda, sys.beta)); err != nil {
+		n, sys.Lambda, sys.Beta)); err != nil {
 		return err
 	}
 	return runComparison(w, p, "fig14_rgg", sys, rounds, 5, 500)

@@ -81,22 +81,22 @@ func runFig1(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig1")
 	side, rounds, every := fig1Torus(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d, avg load 1000 on node v0, randomized rounding, β=%.10f",
-		side, side, sys.beta)); err != nil {
+		side, side, sys.Beta)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
 	kinds := []core.Kind{core.SOS, core.FOS}
 	series := make([]*sim.Series, len(kinds))
 	if err := p.runCells(len(kinds), func(i int) error {
-		proc, err := sys.discrete(kinds[i], p, x0)
+		proc, err := p.discrete(sys, kinds[i], x0)
 		if err != nil {
 			return err
 		}
@@ -129,7 +129,7 @@ func runFig2(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig2")
 	side, rounds, every := fig1Torus(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
@@ -140,11 +140,11 @@ func runFig2(w io.Writer, p Params) error {
 	series := make([]*sim.Series, len(avgs))
 	prefixes := make([]string, len(avgs))
 	if err := p.runCells(len(avgs), func(i int) error {
-		x0, err := pointLoadDiscrete(sys.g.NumNodes(), avgs[i])
+		x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), avgs[i])
 		if err != nil {
 			return err
 		}
-		proc, err := sys.discrete(core.SOS, p, x0)
+		proc, err := p.discrete(sys, core.SOS, x0)
 		if err != nil {
 			return err
 		}
@@ -174,14 +174,14 @@ func runFig3(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig3")
 	side, rounds, every := fig1Torus(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d: discrete randomized rounding vs idealized (divisible) loads", side, side)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
@@ -201,9 +201,9 @@ func runFig3(w io.Writer, p Params) error {
 		var proc core.Process
 		var err error
 		if v.ideal {
-			proc, err = sys.continuous(v.kind, p, x0f)
+			proc, err = p.continuous(sys, v.kind, x0f)
 		} else {
-			proc, err = sys.discrete(v.kind, p, x0)
+			proc, err = p.discrete(sys, v.kind, x0)
 		}
 		if err != nil {
 			return err
@@ -249,14 +249,14 @@ func runFig4(w io.Writer, p Params) error {
 	if late >= rounds {
 		early, late = rounds/2, 2*rounds/3
 	}
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d, hybrid SOS→FOS at rounds %d and %d", side, side, early, late)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,7 @@ func runFig4(w io.Writer, p Params) error {
 	prefixes := make([]string, len(switches))
 	if err := p.runCells(len(switches), func(i int) error {
 		sw := switches[i]
-		proc, err := sys.discrete(core.SOS, p, x0)
+		proc, err := p.discrete(sys, core.SOS, x0)
 		if err != nil {
 			return err
 		}
@@ -306,14 +306,14 @@ func runFig5(w io.Writer, p Params) error {
 	if late >= rounds {
 		early, late = rounds/2, 2*rounds/3
 	}
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d: pure SOS vs hybrid (switch at %d / %d), max−avg only", side, side, early, late)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
@@ -328,7 +328,7 @@ func runFig5(w io.Writer, p Params) error {
 	series := make([]*sim.Series, len(configs))
 	prefixes := make([]string, len(configs))
 	if err := p.runCells(len(configs), func(i int) error {
-		proc, err := sys.discrete(core.SOS, p, x0)
+		proc, err := p.discrete(sys, core.SOS, x0)
 		if err != nil {
 			return err
 		}
@@ -361,22 +361,22 @@ func runFig6(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig6")
 	side, rounds, every := fig1Torus(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d, SOS: idealized (float64) vs randomized rounding; |Σx(t)−Σx(0)| for the idealized run", side, side)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
-	disc, err := sys.discrete(core.SOS, p, x0)
+	disc, err := p.discrete(sys, core.SOS, x0)
 	if err != nil {
 		return err
 	}
-	cont, err := sys.continuous(core.SOS, p, toFloat(x0))
+	cont, err := p.continuous(sys, core.SOS, toFloat(x0))
 	if err != nil {
 		return err
 	}
@@ -429,7 +429,7 @@ func runFig7(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig7")
 	side, rounds, every := fig7Size(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
@@ -440,15 +440,15 @@ func runFig7(w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
-	proc, err := sys.discrete(core.SOS, p, x0)
+	proc, err := p.discrete(sys, core.SOS, x0)
 	if err != nil {
 		return err
 	}
-	loadBuf := make([]float64, sys.g.NumNodes())
+	loadBuf := make([]float64, sys.Graph.NumNodes())
 	impact := func(p core.Process) eigen.ImpactReport {
 		lv := p.Loads()
 		for i, v := range lv.Int {
@@ -503,14 +503,14 @@ func runFig8(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig8")
 	side, rounds, every := fig7Size(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d: FOS switch sweep at rounds 300/500/700/900 vs pure SOS", side, side)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
@@ -527,7 +527,7 @@ func runFig8(w io.Writer, p Params) error {
 	series := make([]*sim.Series, len(configs))
 	prefixes := make([]string, len(configs))
 	if err := p.runCells(len(configs), func(i int) error {
-		proc, err := sys.discrete(core.SOS, p, x0)
+		proc, err := p.discrete(sys, core.SOS, x0)
 		if err != nil {
 			return err
 		}
@@ -562,7 +562,7 @@ func runFig15(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig15")
 	side, rounds, every := fig7Size(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
@@ -573,15 +573,15 @@ func runFig15(w io.Writer, p Params) error {
 	if err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
-	proc, err := sys.discrete(core.SOS, p, x0)
+	proc, err := p.discrete(sys, core.SOS, x0)
 	if err != nil {
 		return err
 	}
-	loadBuf := make([]float64, sys.g.NumNodes())
+	loadBuf := make([]float64, sys.Graph.NumNodes())
 	impact := func(pp core.Process) eigen.ImpactReport {
 		for i, v := range pp.Loads().Int {
 			loadBuf[i] = float64(v)

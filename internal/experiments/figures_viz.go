@@ -40,18 +40,18 @@ func runFig9(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("fig9")
 	side, frames := vizScale(p)
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
 	if err := header(w, e, fmt.Sprintf("torus %dx%d, SOS, frames at rounds %v (adaptive shading: light=near average)", side, side, frames)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
-	proc, err := sys.discrete(core.SOS, p, x0)
+	proc, err := p.discrete(sys, core.SOS, x0)
 	if err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func runFig11(w io.Writer, p Params) error {
 	if p.Full {
 		sosRounds, fosShort, fosLong = 3000, 100, 1000
 	}
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
@@ -104,11 +104,11 @@ func runFig11(w io.Writer, p Params) error {
 		side, side, sosRounds, fosShort, fosLong)); err != nil {
 		return err
 	}
-	x0, err := pointLoadDiscrete(sys.g.NumNodes(), 1000)
+	x0, err := pointLoadDiscrete(sys.Graph.NumNodes(), 1000)
 	if err != nil {
 		return err
 	}
-	proc, err := sys.discrete(core.SOS, p, x0)
+	proc, err := p.discrete(sys, core.SOS, x0)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/divergence"
-	"diffusionlb/internal/graph"
 	"diffusionlb/internal/metrics"
 )
 
@@ -34,13 +33,13 @@ func runNegload(w io.Writer, p Params) error {
 	if p.Full {
 		spike = 1_000_000
 	}
-	sys, err := torusSystem(side, side)
+	sys, err := p.topology(torus(side), "")
 	if err != nil {
 		return err
 	}
-	n := sys.g.NumNodes()
+	n := sys.Graph.NumNodes()
 	if err := header(w, e, fmt.Sprintf("torus %dx%d, SOS β=%.6f, spike of %d tokens at v0 on top of a uniform base load; %d rounds",
-		side, side, sys.beta, spike, rounds)); err != nil {
+		side, side, sys.Beta, spike, rounds)); err != nil {
 		return err
 	}
 
@@ -48,12 +47,12 @@ func runNegload(w io.Writer, p Params) error {
 		// Δ(0) = max − avg = spike·(1 − 1/n).
 		return float64(spike) * (1 - 1/float64(n))
 	}
-	safeBase := divergence.MinInitialLoadForSafety(n, delta0For(0), sys.lambda)
+	safeBase := divergence.MinInitialLoadForSafety(n, delta0For(0), sys.Lambda)
 	fmt.Fprintf(w, "\nλ=%.6f  Observation 5 bound: %.0f   Theorem 10 bound: %.0f   Theorem 11 bound: %.0f\n",
-		sys.lambda,
+		sys.Lambda,
 		divergence.Observation5Bound(n, delta0For(0)),
-		divergence.Theorem10Bound(n, delta0For(0), sys.lambda),
-		divergence.Theorem11Bound(n, delta0For(0), sys.lambda, sys.g.MaxDegree()))
+		divergence.Theorem10Bound(n, delta0For(0), sys.Lambda),
+		divergence.Theorem11Bound(n, delta0For(0), sys.Lambda, sys.Graph.MaxDegree()))
 	fmt.Fprintf(w, "Theorem 10 inverted: base load >= %.0f per node suffices to avoid negative transient load\n\n", safeBase)
 
 	fmt.Fprintf(w, "%12s  %-12s %16s %16s %14s %14s\n",
@@ -69,7 +68,7 @@ func runNegload(w io.Writer, p Params) error {
 			return err
 		}
 		// Discrete randomized SOS.
-		disc, err := sys.discrete(core.SOS, p, x0)
+		disc, err := p.discrete(sys, core.SOS, x0)
 		if err != nil {
 			return err
 		}
@@ -80,7 +79,7 @@ func runNegload(w io.Writer, p Params) error {
 			base, "discrete", minT, minE, disc.NegativeTransientRounds(), minT >= 0)
 
 		// Continuous SOS for the Observation 5 / Theorem 10 comparison.
-		cont, err := sys.continuous(core.SOS, p, toFloat(x0))
+		cont, err := p.continuous(sys, core.SOS, toFloat(x0))
 		if err != nil {
 			return err
 		}
@@ -100,12 +99,6 @@ func runNegload(w io.Writer, p Params) error {
 	return err
 }
 
-// deviationCase describes one graph in the deviation experiment.
-type deviationCase struct {
-	label string
-	build func(p Params) (*system, error)
-}
-
 func runDeviation(w io.Writer, p Params) error {
 	p = p.withDefaults()
 	e, _ := ByID("deviation")
@@ -116,31 +109,11 @@ func runDeviation(w io.Writer, p Params) error {
 	cycleN := p.size(32, 64, 64)
 	cubeDim := p.size(6, 8, 8)
 	rrN, rrD := p.size(64, 128, 128), p.size(6, 8, 8)
-	cases := []deviationCase{
-		{fmt.Sprintf("cycle n=%d", cycleN), func(p Params) (*system, error) {
-			g, err := graph.Cycle(cycleN)
-			if err != nil {
-				return nil, err
-			}
-			return newSystem(g, nil, 0)
-		}},
-		{"torus 12x12", func(p Params) (*system, error) {
-			return torusSystem(12, 12)
-		}},
-		{fmt.Sprintf("hypercube 2^%d", cubeDim), func(p Params) (*system, error) {
-			g, err := graph.Hypercube(cubeDim)
-			if err != nil {
-				return nil, err
-			}
-			return newSystem(g, nil, float64(cubeDim-1)/float64(cubeDim+1))
-		}},
-		{fmt.Sprintf("random regular n=%d d=%d", rrN, rrD), func(p Params) (*system, error) {
-			g, err := graph.RandomRegular(rrN, rrD, p.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return newSystem(g, nil, 0)
-		}},
+	cases := []struct{ label, graph string }{
+		{fmt.Sprintf("cycle n=%d", cycleN), fmt.Sprintf("cycle:%d", cycleN)},
+		{"torus 12x12", torus(12)},
+		{fmt.Sprintf("hypercube 2^%d", cubeDim), fmt.Sprintf("hypercube:%d", cubeDim)},
+		{fmt.Sprintf("random regular n=%d d=%d", rrN, rrD), fmt.Sprintf("regular:%d:%d", rrN, rrD)},
 	}
 	fmt.Fprintf(w, "\n%-26s %5s  %-14s %12s %12s %8s %12s %14s\n",
 		"graph", "kind", "lambda", "dev inf", "Υ·√(d ln n)", "within", "dev L2", "Thm8 d√n/(1−λ)")
@@ -150,20 +123,20 @@ func runDeviation(w io.Writer, p Params) error {
 	rows := make([]string, len(cases)*len(kinds))
 	err := p.runCells(len(rows), func(cell int) error {
 		c, kind := cases[cell/len(kinds)], kinds[cell%len(kinds)]
-		sys, err := c.build(p)
+		sys, err := p.topology(c.graph, "")
 		if err != nil {
 			return err
 		}
-		n := sys.g.NumNodes()
+		n := sys.Graph.NumNodes()
 		x0, err := pointLoadDiscrete(n, 1000)
 		if err != nil {
 			return err
 		}
-		disc, err := sys.discrete(kind, p, x0)
+		disc, err := p.discrete(sys, kind, x0)
 		if err != nil {
 			return err
 		}
-		cont, err := sys.continuous(kind, p, toFloat(x0))
+		cont, err := p.continuous(sys, kind, toFloat(x0))
 		if err != nil {
 			return err
 		}
@@ -186,7 +159,7 @@ func runDeviation(w io.Writer, p Params) error {
 				worst2 = dev2
 			}
 		}
-		qseq, err := divergence.NewQSequence(sys.op, kind, sys.beta)
+		qseq, err := divergence.NewQSequence(sys.Op, kind, sys.Beta)
 		if err != nil {
 			return err
 		}
@@ -198,10 +171,10 @@ func runDeviation(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		bound := divergence.TheoremBound(ups, sys.g.MaxDegree(), n)
-		thm8 := divergence.Theorem8Bound(sys.g.MaxDegree(), n, 1, sys.lambda)
+		bound := divergence.TheoremBound(ups, sys.Graph.MaxDegree(), n)
+		thm8 := divergence.Theorem8Bound(sys.Graph.MaxDegree(), n, 1, sys.Lambda)
 		rows[cell] = fmt.Sprintf("%-26s %5v  %-14.8f %12.2f %12.2f %8v %12.2f %14.0f",
-			c.label, kind, sys.lambda, worst, bound, worst <= bound, worst2, thm8)
+			c.label, kind, sys.Lambda, worst, bound, worst <= bound, worst2, thm8)
 		return nil
 	})
 	if err != nil {

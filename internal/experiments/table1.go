@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"diffusionlb/internal/graph"
 	"diffusionlb/internal/spectral"
 )
 
@@ -64,11 +63,7 @@ func runTable1(w io.Writer, p Params) error {
 		analyticTorusRow(1000, "1.9920836447"),
 		analyticTorusRow(100, "1.9235874877"),
 		func() (table1Row, error) {
-			cmG, err := graph.RandomRegular(cmN, cmD, p.Seed)
-			if err != nil {
-				return table1Row{}, err
-			}
-			cmSys, err := newSystem(cmG, nil, 0)
+			cmSys, err := p.topology(fmt.Sprintf("regular:%d:%d", cmN, cmD), "")
 			if err != nil {
 				return table1Row{}, err
 			}
@@ -78,16 +73,12 @@ func runTable1(w io.Writer, p Params) error {
 			}
 			return table1Row{
 				label: fmt.Sprintf("Random Graph (CM) n=%d d=%d", cmN, cmD),
-				n:     cmN, d: cmD, lambda: cmSys.lambda, beta: cmSys.beta,
+				n:     cmN, d: cmD, lambda: cmSys.Lambda, beta: cmSys.Beta,
 				source: "power-iteration", paperRef: cmRef,
 			}, nil
 		},
 		func() (table1Row, error) {
-			rggG, _, err := graph.RandomGeometric(rggN, p.Seed, graph.GeometricOptions{})
-			if err != nil {
-				return table1Row{}, err
-			}
-			rggSys, err := newSystem(rggG, nil, 0)
+			rggSys, err := p.topology(fmt.Sprintf("rgg:%d", rggN), "")
 			if err != nil {
 				return table1Row{}, err
 			}
@@ -97,7 +88,7 @@ func runTable1(w io.Writer, p Params) error {
 			}
 			return table1Row{
 				label: fmt.Sprintf("Random Geometric Graph n=%d", rggN),
-				n:     rggN, d: rggG.MaxDegree(), lambda: rggSys.lambda, beta: rggSys.beta,
+				n:     rggN, d: rggSys.Graph.MaxDegree(), lambda: rggSys.Lambda, beta: rggSys.Beta,
 				source: "power-iteration", paperRef: rggRef,
 			}, nil
 		},

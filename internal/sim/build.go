@@ -23,7 +23,8 @@ import (
 // the lbsim CLI syntax, the seed each part draws from, and the numbers that
 // fix the run. lbsim's free-form mode and sweep cells are front ends that
 // fill one; they differ only in how they derive the seeds and in their λ
-// source. System builds the topology half of the run, and Build the rest.
+// source. System builds the topology half of the run, and Build the rest;
+// the experiments use System alone.
 type RunSpec struct {
 	// Graph and Speeds are graph.FromSpec and hetero.SpeedsFromSpec specs
 	// ("" speeds = homogeneous), each drawn from its own seed.
@@ -71,7 +72,8 @@ const (
 	// spectral.PowerOptions, as diffusionlb.NewSystem does.
 	LambdaPower LambdaSource = iota
 	// LambdaClosedForm takes the closed form on homogeneous 2-d tori and
-	// hypercubes, and the power iteration at Tol 1e-10 everywhere else.
+	// hypercubes, and the power iteration at Tol 1e-10 everywhere else, as
+	// sweep cells and the experiments do.
 	LambdaClosedForm
 )
 
@@ -170,7 +172,9 @@ func (r RunSpec) System() (*System, error) {
 }
 
 // closedFormLambda returns λ in closed form for the graph specs that have
-// one, homogeneous 2-d tori and hypercubes.
+// one, homogeneous 2-d tori and hypercubes. The experiments' reports rest
+// on this exact set: a cycle case would move the deviation experiment's
+// cycle λ off its power-iteration value.
 func closedFormLambda(gSpec string, sp *hetero.Speeds) (float64, bool) {
 	kind, rest, _ := strings.Cut(gSpec, ":")
 	lam, err := 0.0, errors.New("no closed form")
