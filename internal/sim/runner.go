@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/envdyn"
@@ -68,21 +69,25 @@ func MaxLocalDiff() Metric {
 
 // PotentialPerN is φ_t/n, the 2-norm potential of [19] divided by n as the
 // paper plots it (metric 3).
-func PotentialPerN() Metric {
-	return MetricFunc("potential_per_n", func(p core.Process) float64 {
-		sp := p.Operator().Speeds()
-		n := float64(p.Operator().Graph().NumNodes())
-		return intsOrFloats(p,
-			func(x []int64) float64 { return metrics.Potential(x, sp) / n },
-			func(x []float64) float64 { return metrics.Potential(x, sp) / n })
-	})
+func PotentialPerN() Metric { return MetricFunc("potential_per_n", potentialPerN) }
+
+// potentialPerN computes PotentialPerN; the telemetry gauge reads it too.
+func potentialPerN(p core.Process) float64 {
+	op, lv := p.Operator(), p.Loads()
+	sp, n := op.Speeds(), float64(op.Graph().NumNodes())
+	if lv.Int != nil {
+		return metrics.Potential(lv.Int, sp) / n
+	}
+	return metrics.Potential(lv.Float, sp) / n
 }
 
 // Discrepancy is max − min load.
-func Discrepancy() Metric {
-	return MetricFunc("discrepancy", func(p core.Process) float64 {
-		return intsOrFloats(p, metrics.Discrepancy[int64], metrics.Discrepancy[float64])
-	})
+func Discrepancy() Metric { return MetricFunc("discrepancy", discrepancy) }
+
+// discrepancy computes Discrepancy; PeakDiscrepancy and the telemetry gauge
+// read it too.
+func discrepancy(p core.Process) float64 {
+	return intsOrFloats(p, metrics.Discrepancy[int64], metrics.Discrepancy[float64])
 }
 
 // MinLoad is the minimum end-of-round load (negative-load diagnostics).
@@ -161,7 +166,7 @@ func DeviationFrom(ref core.Process, name string) Metric {
 func PeakDiscrepancy() Metric {
 	peak := math.Inf(-1)
 	return MetricFunc("peak_discrepancy", func(p core.Process) float64 {
-		d := intsOrFloats(p, metrics.Discrepancy[int64], metrics.Discrepancy[float64])
+		d := discrepancy(p)
 		if d > peak {
 			peak = d
 		}
@@ -362,17 +367,27 @@ type Runner struct {
 	Telemetry *telemetry.RunProbe
 }
 
-// reweightOp applies a speed event to the shared operator, sharding the
-// O(n) diagonal revalidation over the process's own step layout when the
-// process exposes one (core.Sharded) — at 2²⁰ nodes the validation scan is
-// the entire cost of a speed event, since α is speed-independent and the
-// engines read it through the operator view with no per-arc copying. The
-// result is identical either way; only the scan parallelizes.
-func reweightOp(p core.Process, op *spectral.Operator, sp *hetero.Speeds) error {
+// reweight applies a speed event to p's operator, which every process
+// shares, and retargets each of them onto it. It shards the O(n) diagonal
+// revalidation over p's own step layout when p exposes one (core.Sharded)
+// — at 2²⁰ nodes the validation scan is the entire cost of a speed event,
+// since α is speed-independent and the engines read it through the
+// operator view with no per-arc copying. The result is identical either
+// way; only the scan parallelizes.
+func reweight(p core.Process, sp *hetero.Speeds, retargeters []core.Retargeter) error {
+	op := p.Operator()
+	var err error
 	if sh, ok := p.(core.Sharded); ok {
-		return op.ReweightPar(sp, sh.ShardLayout(), sh.StepWorkers())
+		err = op.ReweightPar(sp, sh.ShardLayout(), sh.StepWorkers())
+	} else {
+		err = op.Reweight(sp)
 	}
-	return op.Reweight(sp)
+	for _, rt := range retargeters {
+		if err == nil {
+			err = rt.Retarget(op)
+		}
+	}
+	return err
 }
 
 // workloadLoads adapts a process's load vector to the workload.Loads view.
@@ -544,6 +559,11 @@ type Result struct {
 }
 
 // Run executes the configured number of rounds and returns the recording.
+// Every round runs its stages in this order: step Proc; step each Lockstep
+// process; apply the Environment's or Scenario's speeds (reweight and
+// retarget); re-optimize β; inject the Scenario's load half; inject the
+// Workload; evaluate the Adaptive policy; call OnRound; record the
+// telemetry gauges; sample the metrics when the round is due.
 func (r *Runner) Run(rounds int) (*Result, error) {
 	if r.Proc == nil {
 		return nil, errors.New("sim: Runner.Proc is nil")
@@ -576,97 +596,56 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		}
 		envDyn = r.Scenario.Dynamics()
 	}
-	var applier *envdyn.Applier
-	var retargeters []core.Retargeter
+	var (
+		applier     *envdyn.Applier
+		retargeters []core.Retargeter
+		injectors   []core.Injector
+		reoptState  *BetaReoptState
+		scLoad, wl  *injection
+		err         error
+	)
 	if envDyn != nil {
+		what := fmt.Sprintf("dynamics %q", envDyn.Name())
+		if retargeters, err = capable[core.Retargeter](r, what); err != nil {
+			return nil, err
+		}
+		// A lockstep reference on a different operator instance would keep
+		// balancing toward the stale targets and corrupt every deviation
+		// metric; require the shared-operator setup the deviation
+		// experiments use.
 		op := r.Proc.Operator()
-		rt, ok := r.Proc.(core.Retargeter)
-		if !ok {
-			return nil, fmt.Errorf("sim: dynamics %q set but process %T does not implement core.Retargeter",
-				envDyn.Name(), r.Proc)
-		}
-		retargeters = append(retargeters, rt)
 		for _, ref := range r.Lockstep {
-			rrt, ok := ref.(core.Retargeter)
-			if !ok {
-				return nil, fmt.Errorf("sim: dynamics %q set but lockstep process %T does not implement core.Retargeter",
-					envDyn.Name(), ref)
-			}
-			// A lockstep reference on a different operator instance would
-			// keep balancing toward the stale targets and corrupt every
-			// deviation metric; require the shared-operator setup the
-			// deviation experiments use.
 			if ref.Operator() != op {
-				return nil, fmt.Errorf("sim: dynamics %q set but lockstep process %T does not share the main operator",
-					envDyn.Name(), ref)
+				return nil, fmt.Errorf("sim: %s set but lockstep process %T does not share the main operator", what, ref)
 			}
-			retargeters = append(retargeters, rrt)
 		}
-		var err error
-		applier, err = envdyn.NewApplier(op.Speeds(), op.Graph().NumNodes(), envDyn)
-		if err != nil {
+		if applier, err = envdyn.NewApplier(op.Speeds(), op.Graph().NumNodes(), envDyn); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
-
-	// requireInjectors validates that the main and every lockstep process
-	// absorb the same injections (a reference that cannot would silently
-	// drift and corrupt every deviation metric).
-	requireInjectors := func(src, name string) (core.Injector, error) {
-		inj, ok := r.Proc.(core.Injector)
-		if !ok {
-			return nil, fmt.Errorf("sim: %s %q set but process %T does not implement core.Injector", src, name, r.Proc)
-		}
-		for _, ref := range r.Lockstep {
-			if _, ok := ref.(core.Injector); !ok {
-				return nil, fmt.Errorf("sim: %s %q set but lockstep process %T does not implement core.Injector", src, name, ref)
-			}
-		}
-		return inj, nil
-	}
-
-	// Scenario load half: injected right after the scenario's speed half,
+	// The scenario's load half is injected right after its speed half and
 	// before any Workload, so the coupled event lands as one unit.
-	var scInjector core.Injector
-	var scMut workload.Mutator
-	var scDeltas []int64
 	if r.Scenario != nil {
-		inj, err := requireInjectors("Scenario", r.Scenario.Name())
-		if err != nil {
+		if injectors, err = capable[core.Injector](r, fmt.Sprintf("Scenario %q", r.Scenario.Name())); err != nil {
 			return nil, err
 		}
-		scInjector = inj
 		op := r.Proc.Operator()
-		scMut = r.Scenario.Mutator(op.Graph(), op.Speeds())
-		scDeltas = make([]int64, op.Graph().NumNodes())
+		scLoad = &injection{what: fmt.Sprintf("scenario %q", r.Scenario.Name()),
+			mut: r.Scenario.Mutator(op.Graph(), op.Speeds()), deltas: make([]int64, op.Graph().NumNodes())}
 	}
-
-	var injector core.Injector
-	var deltas []int64
 	if r.Workload != nil {
-		inj, err := requireInjectors("Workload", r.Workload.Name())
-		if err != nil {
+		if injectors, err = capable[core.Injector](r, fmt.Sprintf("Workload %q", r.Workload.Name())); err != nil {
 			return nil, err
 		}
-		injector = inj
-		deltas = make([]int64, workloadLoads(r.Proc.Loads()).Len())
+		wl = &injection{what: fmt.Sprintf("workload %q", r.Workload.Name()),
+			mut: r.Workload, deltas: make([]int64, workloadLoads(r.Proc.Loads()).Len())}
 	}
-
 	// β re-optimization trigger: the baseline starts at the initial total
 	// speed.
-	var reoptState *BetaReoptState
 	if r.BetaReopt != nil {
-		bs, ok := r.Proc.(core.BetaSetter)
-		if !ok {
-			return nil, fmt.Errorf("sim: BetaReopt set but process %T does not implement core.BetaSetter", r.Proc)
-		}
-		setters := []core.BetaSetter{bs}
-		for _, ref := range r.Lockstep {
-			rbs, ok := ref.(core.BetaSetter)
-			if !ok {
-				return nil, fmt.Errorf("sim: BetaReopt set but lockstep process %T does not implement core.BetaSetter", ref)
-			}
-			setters = append(setters, rbs)
+		setters, err := capable[core.BetaSetter](r, "BetaReopt")
+		if err != nil {
+			return nil, err
 		}
 		reoptState = NewBetaReoptState(*r.BetaReopt, r.Proc.Operator().Speeds().Sum(), setters...)
 	}
@@ -704,19 +683,13 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		scChanged := 0
 		if applier != nil {
 			sp, changed, err := applier.SpeedsAt(round)
+			if err == nil && changed > 0 {
+				err = reweight(r.Proc, sp, retargeters)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("sim: dynamics %q at round %d: %w", envDyn.Name(), round, err)
 			}
 			if changed > 0 {
-				op := r.Proc.Operator()
-				if err := reweightOp(r.Proc, op, sp); err != nil {
-					return nil, fmt.Errorf("sim: dynamics %q at round %d: %w", envDyn.Name(), round, err)
-				}
-				for _, rt := range retargeters {
-					if err := rt.Retarget(op); err != nil {
-						return nil, fmt.Errorf("sim: dynamics %q at round %d: %w", envDyn.Name(), round, err)
-					}
-				}
 				if chk != nil {
 					chk.afterReweight(round)
 				}
@@ -741,29 +714,15 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 			}
 			res.StaleBetaRounds = reoptState.Stale
 		}
-		// Scenario load half: the derived migration/burst deltas of the
-		// same timeline, applied as one unit with the speed half above.
-		if scMut != nil {
-			for i := range scDeltas {
-				scDeltas[i] = 0
+		if scLoad != nil {
+			fired, err := scLoad.inject(round, r.Proc, injectors, chk)
+			if err != nil {
+				return nil, err
 			}
 			var moved int64
-			if scMut.Deltas(round, workloadLoads(r.Proc.Loads()), scDeltas) {
-				for _, d := range scDeltas {
-					if d > 0 {
-						moved += d
-					}
-				}
-				if err := scInjector.Inject(scDeltas); err != nil {
-					return nil, fmt.Errorf("sim: scenario %q at round %d: %w", r.Scenario.Name(), round, err)
-				}
-				for _, ref := range r.Lockstep {
-					if err := ref.(core.Injector).Inject(scDeltas); err != nil {
-						return nil, fmt.Errorf("sim: scenario %q at round %d (lockstep): %w", r.Scenario.Name(), round, err)
-					}
-				}
-				if chk != nil {
-					chk.afterInject(scDeltas)
+			if fired {
+				for _, d := range scLoad.deltas {
+					moved += max(d, 0)
 				}
 			}
 			if scChanged > 0 || moved > 0 {
@@ -774,29 +733,17 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 				r.Telemetry.Scenario(round, scChanged, float64(moved))
 			}
 		}
-		if injector != nil {
-			for i := range deltas {
-				deltas[i] = 0
+		if wl != nil {
+			fired, err := wl.inject(round, r.Proc, injectors, chk)
+			if err != nil {
+				return nil, err
 			}
-			if r.Workload.Deltas(round, workloadLoads(r.Proc.Loads()), deltas) {
-				if err := injector.Inject(deltas); err != nil {
-					return nil, fmt.Errorf("sim: workload %q at round %d: %w", r.Workload.Name(), round, err)
+			if fired && r.Telemetry != nil {
+				var net int64
+				for _, d := range wl.deltas {
+					net += d
 				}
-				for _, ref := range r.Lockstep {
-					if err := ref.(core.Injector).Inject(deltas); err != nil {
-						return nil, fmt.Errorf("sim: workload %q at round %d (lockstep): %w", r.Workload.Name(), round, err)
-					}
-				}
-				if chk != nil {
-					chk.afterInject(deltas)
-				}
-				if r.Telemetry != nil {
-					var net int64
-					for _, d := range deltas {
-						net += d
-					}
-					r.Telemetry.Inject(round, float64(net))
-				}
+				r.Telemetry.Inject(round, float64(net))
 			}
 		}
 		// Policy evaluation deliberately follows workload injection above:
@@ -820,13 +767,8 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		// read-and-record, feeding nothing back into the trajectory.
 		if r.Telemetry != nil {
 			sw.Stop()
-			sp := r.Proc.Operator().Speeds()
-			n := float64(r.Proc.Operator().Graph().NumNodes())
-			disc := intsOrFloats(r.Proc, metrics.Discrepancy[int64], metrics.Discrepancy[float64])
-			pot := intsOrFloats(r.Proc,
-				func(x []int64) float64 { return metrics.Potential(x, sp) / n },
-				func(x []float64) float64 { return metrics.Potential(x, sp) / n })
-			r.Telemetry.RoundCompleted(round, disc, pot, sp.Sum(), float64(res.StaleBetaRounds))
+			r.Telemetry.RoundCompleted(round, discrepancy(r.Proc), potentialPerN(r.Proc),
+				r.Proc.Operator().Speeds().Sum(), float64(res.StaleBetaRounds))
 		}
 		if round%every == 0 || round == rounds {
 			if err := record(round); err != nil {
@@ -836,4 +778,56 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 	}
 	res.Rounds = rounds
 	return res, nil
+}
+
+// capable returns Proc and every Lockstep process as T, in that order. A
+// process without T is an error naming src, the Runner field that needs it:
+// a lockstep reference that cannot follow the run's dynamics would silently
+// drift and corrupt every deviation metric.
+func capable[T any](r *Runner, src string) ([]T, error) {
+	out := make([]T, 0, 1+len(r.Lockstep))
+	for i, p := range append([]core.Process{r.Proc}, r.Lockstep...) {
+		v, ok := p.(T)
+		if !ok {
+			role := "process"
+			if i > 0 {
+				role = "lockstep process"
+			}
+			return nil, fmt.Errorf("sim: %s set but %s %T does not implement %v", src, role, p, reflect.TypeFor[T]())
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// injection is one source of external load, the Scenario's load half or the
+// Workload, with its reused delta buffer.
+type injection struct {
+	what   string // the source in errors, e.g. `workload "poisson:0.5"`
+	mut    workload.Mutator
+	deltas []int64
+}
+
+// inject draws the source's deltas for round from p's loads and, when it
+// fires, injects them into every injector in order (Proc first, then the
+// Lockstep processes), so references see the same external load. It
+// reports whether the source fired.
+func (in *injection) inject(round int, p core.Process, injectors []core.Injector, chk *invariantChecker) (bool, error) {
+	clear(in.deltas)
+	if !in.mut.Deltas(round, workloadLoads(p.Loads()), in.deltas) {
+		return false, nil
+	}
+	for i, inj := range injectors {
+		if err := inj.Inject(in.deltas); err != nil {
+			lockstep := ""
+			if i > 0 {
+				lockstep = " (lockstep)"
+			}
+			return false, fmt.Errorf("sim: %s at round %d%s: %w", in.what, round, lockstep, err)
+		}
+	}
+	if chk != nil {
+		chk.afterInject(in.deltas)
+	}
+	return true, nil
 }

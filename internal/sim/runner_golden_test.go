@@ -11,6 +11,7 @@ import (
 	"diffusionlb/internal/envdyn"
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
+	"diffusionlb/internal/invariants"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/scenario"
 	"diffusionlb/internal/spectral"
@@ -197,4 +198,40 @@ func runDynamicsFixture(t *testing.T, envSpec, scnSpec string) (string, *Result)
 		f64(gv.Value)
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), res
+}
+
+// TestTelemetryGaugesAllocFree: the per-round gauges read the same
+// discrepancy and potential functions as the metrics without boxing a
+// Metric or a closure, so a round with a live RunProbe allocates nothing.
+func TestTelemetryGaugesAllocFree(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("the invariant checker formats a context string every round")
+	}
+	g, err := graph.Torus2D(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := spectral.NewOperator(g, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0, err := metrics.PointLoad(g.NumNodes(), 100000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			proc, err := core.NewDiscrete(core.Config{Op: op, Kind: core.SOS, Beta: 1.5}, nil, 1, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := telemetry.NewRunProbe(telemetry.NewRegistry(), telemetry.NewTrace(64))
+			if _, err := (&Runner{Proc: proc, Every: rounds, Telemetry: probe}).Run(rounds); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(20), allocs(120); long != short {
+		t.Errorf("a run allocates %v times over 20 rounds and %v over 120; the gauges must not allocate", short, long)
+	}
 }
