@@ -168,19 +168,16 @@ func toFloat(x []int64) []float64 {
 	return out
 }
 
-// config is the engine configuration of a run on sys's operator and layout.
-func (p Params) config(sys *sim.System, kind core.Kind) core.Config {
-	return core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
-}
-
 // discrete and continuous are the randomized-rounding and idealized
-// processes the figure experiments compare.
+// processes the experiments compare, on sys's operator and shard layout.
 func (p Params) discrete(sys *sim.System, kind core.Kind, x0 []int64) (*core.Discrete, error) {
-	return core.NewDiscrete(p.config(sys, kind), core.RandomizedRounder{}, p.Seed, x0)
+	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
+	return core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
 }
 
 func (p Params) continuous(sys *sim.System, kind core.Kind, x0 []float64) (*core.Continuous, error) {
-	return core.NewContinuous(p.config(sys, kind), x0)
+	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
+	return core.NewContinuous(cfg, x0)
 }
 
 // writeSeries prints the table and optionally dumps CSV into OutDir.

@@ -111,9 +111,9 @@ func runFailoverVariants(p Params) (failoverSetup, []failoverOutcome, error) {
 	results := make([]failoverOutcome, len(variants))
 	err = p.runCells(len(variants), func(i int) error {
 		v := variants[i]
-		cfg := p.config(sys, v.kind)
-		cfg.Op = sys.Op.Clone()
-		proc, err := core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
+		own := *sys
+		own.Op = sys.Op.Clone()
+		proc, err := p.discrete(&own, v.kind, x0)
 		if err != nil {
 			return err
 		}

@@ -54,6 +54,22 @@ func runTable1(w io.Writer, p Params) error {
 			}, nil
 		}
 	}
+	// The random-graph rows build their graph and take λ from the power
+	// iteration; their paper β holds only at the paper's sizes.
+	powerRow := func(label, spec, fullRef string) func() (table1Row, error) {
+		return func() (table1Row, error) {
+			sys, err := p.topology(spec, "")
+			if err != nil {
+				return table1Row{}, err
+			}
+			ref := ""
+			if p.Full {
+				ref = fullRef
+			}
+			return table1Row{label: label, n: sys.Graph.NumNodes(), d: sys.Graph.MaxDegree(),
+				lambda: sys.Lambda, beta: sys.Beta, source: "power-iteration", paperRef: ref}, nil
+		}
+	}
 	// Random graph (configuration model). Paper: n=10^6, d=floor(log2 n)=19.
 	cmN, cmD := p.size(4000, 20000, 1_000_000), p.size(11, 14, 19)
 	// Random geometric graph. Paper: n=10^4, r=(log n)^(1/4).
@@ -62,36 +78,8 @@ func runTable1(w io.Writer, p Params) error {
 		// Tori: the paper's sizes are analytically available at any scale.
 		analyticTorusRow(1000, "1.9920836447"),
 		analyticTorusRow(100, "1.9235874877"),
-		func() (table1Row, error) {
-			cmSys, err := p.topology(fmt.Sprintf("regular:%d:%d", cmN, cmD), "")
-			if err != nil {
-				return table1Row{}, err
-			}
-			cmRef := ""
-			if p.Full {
-				cmRef = "1.0651965147"
-			}
-			return table1Row{
-				label: fmt.Sprintf("Random Graph (CM) n=%d d=%d", cmN, cmD),
-				n:     cmN, d: cmD, lambda: cmSys.Lambda, beta: cmSys.Beta,
-				source: "power-iteration", paperRef: cmRef,
-			}, nil
-		},
-		func() (table1Row, error) {
-			rggSys, err := p.topology(fmt.Sprintf("rgg:%d", rggN), "")
-			if err != nil {
-				return table1Row{}, err
-			}
-			rggRef := ""
-			if p.Full {
-				rggRef = "1.9554636334"
-			}
-			return table1Row{
-				label: fmt.Sprintf("Random Geometric Graph n=%d", rggN),
-				n:     rggN, d: rggSys.Graph.MaxDegree(), lambda: rggSys.Lambda, beta: rggSys.Beta,
-				source: "power-iteration", paperRef: rggRef,
-			}, nil
-		},
+		powerRow(fmt.Sprintf("Random Graph (CM) n=%d d=%d", cmN, cmD), fmt.Sprintf("regular:%d:%d", cmN, cmD), "1.0651965147"),
+		powerRow(fmt.Sprintf("Random Geometric Graph n=%d", rggN), fmt.Sprintf("rgg:%d", rggN), "1.9554636334"),
 		func() (table1Row, error) {
 			// Hypercube. Paper: n = 2^20.
 			lamH, err := spectral.AnalyticHypercubeLambda(20)
