@@ -338,6 +338,23 @@ func TestAvgOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestInjectOverflowRejected: a workload that would take one node's load,
+// or only the total load, beyond int64 fails the run with the workload and
+// the round in the message, instead of printing wrapped-around loads.
+func TestInjectOverflowRejected(t *testing.T) {
+	for _, tc := range []struct{ workload, want string }{
+		{"burst:1:9223372036854775807",
+			`workload "burst:1:9223372036854775807:0" at round 1: core: bad configuration: injecting 9223372036854775807 at node 0 overflows int64 loads`},
+		{"burst:1:5000000000000000000+burst:1:5000000000000000000:1",
+			`workload "burst:1:5000000000000000000:0+burst:1:5000000000000000000:1" at round 1: core: bad configuration: injection overflows the int64 total load`},
+	} {
+		args := []string{"-graph", "cycle:4", "-scheme", "fos", "-rounds", "3", "-every", "1", "-avg", "1000", "-workload", tc.workload}
+		if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want one containing %q", args, err, tc.want)
+		}
+	}
+}
+
 func TestRunFreeFormActorRuntime(t *testing.T) {
 	// Barrier actor mode with a workload and the adaptive policy: events
 	// route through the message-passing runtime.

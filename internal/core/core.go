@@ -37,6 +37,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
@@ -263,6 +264,31 @@ func retargetCheck(op *spectral.Operator, nodes, arcs int) error {
 	if !op.ShapeMatches(nodes, arcs) {
 		return fmt.Errorf("%w: Retarget: operator shape %d nodes/%d arcs does not match process %d/%d",
 			ErrBadConfig, op.Graph().NumNodes(), op.Graph().NumArcs(), nodes, arcs)
+	}
+	return nil
+}
+
+// injectCheck validates the common Inject preconditions on the integer
+// loads x before anything is written: one delta per node, and every node's
+// load and the total load still inside int64 afterwards. An overflowing
+// injection would otherwise wrap the loads silently.
+func injectCheck(x, deltas []int64) error {
+	if len(deltas) != len(x) {
+		return fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(x))
+	}
+	var lo uint64
+	var hi int64 // Σ(x_i + δ_i) = hi·2⁶⁴ + lo, exact for any node count
+	for i, dv := range deltas {
+		v := x[i] + dv
+		if dv > 0 && v < x[i] || dv < 0 && v > x[i] {
+			return fmt.Errorf("%w: injecting %d at node %d overflows int64 loads", ErrBadConfig, dv, i)
+		}
+		var carry uint64
+		lo, carry = bits.Add64(lo, uint64(v), 0)
+		hi += int64(carry) + v>>63
+	}
+	if hi != int64(lo)>>63 {
+		return fmt.Errorf("%w: injection overflows the int64 total load", ErrBadConfig)
 	}
 	return nil
 }

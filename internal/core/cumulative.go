@@ -199,10 +199,11 @@ func (c *CumulativeDiscrete) SetBeta(beta float64) error { return c.cont.SetBeta
 
 // Inject implements Injector: deltas are applied to both the discrete loads
 // and the internally simulated continuous reference, so the cumulative-flow
-// tracking keeps measuring the same trajectory.
+// tracking keeps measuring the same trajectory. Like Discrete.Inject, it
+// rejects an injection that overflows int64 loads before anything changes.
 func (c *CumulativeDiscrete) Inject(deltas []int64) error {
-	if len(deltas) != len(c.x) {
-		return fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(c.x))
+	if err := injectCheck(c.x, deltas); err != nil {
+		return err
 	}
 	if err := c.cont.Inject(deltas); err != nil {
 		return err

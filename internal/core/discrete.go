@@ -639,9 +639,11 @@ func (d *Discrete) SetBeta(beta float64) error {
 // (batch arrivals, hotspot bursts, departures). Injection is not a round —
 // the SOS flow memory, round counter and rounding streams are untouched —
 // so dynamic runs keep the engine's determinism and checkpoint guarantees.
+// An injection that would take a node's load or the total load out of
+// int64 is rejected before anything changes.
 func (d *Discrete) Inject(deltas []int64) error {
-	if len(deltas) != len(d.x) {
-		return fmt.Errorf("%w: %d deltas for %d nodes", ErrBadConfig, len(deltas), len(d.x))
+	if err := injectCheck(d.x, deltas); err != nil {
+		return err
 	}
 	for i, dv := range deltas {
 		d.x[i] += dv
