@@ -376,18 +376,19 @@ type Runner struct {
 // way; only the scan parallelizes.
 func reweight(p core.Process, sp *hetero.Speeds, retargeters []core.Retargeter) error {
 	op := p.Operator()
-	var err error
 	if sh, ok := p.(core.Sharded); ok {
-		err = op.ReweightPar(sp, sh.ShardLayout(), sh.StepWorkers())
-	} else {
-		err = op.Reweight(sp)
+		if err := op.ReweightPar(sp, sh.ShardLayout(), sh.StepWorkers()); err != nil {
+			return err
+		}
+	} else if err := op.Reweight(sp); err != nil {
+		return err
 	}
 	for _, rt := range retargeters {
-		if err == nil {
-			err = rt.Retarget(op)
+		if err := rt.Retarget(op); err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }
 
 // workloadLoads adapts a process's load vector to the workload.Loads view.
