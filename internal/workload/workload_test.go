@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"testing"
 
@@ -134,6 +137,51 @@ func TestPoissonStreamsPerRoundNode(t *testing.T) {
 	}
 	if out := deltasAt(t, pu, 10, loads); sum(out) == 0 {
 		t.Errorf("no arrivals at the until round (rate 2.5 over 64 nodes — astronomically unlikely)")
+	}
+}
+
+// TestPoissonDrawDigests pins the Poisson arrival stream bit for bit: an
+// FNV-64a digest over rounds 1–40 of every delta and every fired flag on
+// 257 nodes, for rates below, at and above the 16-token chunk of the
+// sampler, with and without Until. A change to the draw (its seeding, its
+// chunking or its uniforms) moves a digest; re-pin only on purpose.
+func TestPoissonDrawDigests(t *testing.T) {
+	cases := []struct {
+		rate   float64
+		until  int
+		digest string
+	}{
+		{0.05, 0, "f1ac3da25ddd9863"}, {0.05, 25, "743ce8b84e6c0704"},
+		{0.5, 0, "6b8894d23683a041"}, {0.5, 25, "12eec3ef872a5c8f"},
+		{2.5, 0, "785fc3a8d3ab0e7c"}, {2.5, 25, "1222c984fea397f9"},
+		{16, 0, "af7179aaa222c7df"}, {16, 25, "f8235ec23d731e93"},
+		{16.5, 0, "459bb2cd9da77662"}, {16.5, 25, "5d875987f8c955b1"},
+		{40, 0, "d9c88a1d43d2150a"}, {40, 25, "d130c7a365e2a68a"},
+		{900, 0, "c6ac38d475822763"}, {900, 25, "36d00ec9cfa9736b"},
+	}
+	const n, rounds = 257, 40
+	loads := make(IntLoads, n)
+	out := make([]int64, n)
+	var b [8]byte
+	for _, tc := range cases {
+		p := NewPoisson(tc.rate, tc.until, 0x5eed_0f_a11)
+		h := fnv.New64a()
+		for round := 1; round <= rounds; round++ {
+			clear(out)
+			fired := p.Deltas(round, loads, out)
+			if fired {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
+			}
+			for _, v := range out {
+				binary.LittleEndian.PutUint64(b[:], uint64(v))
+				h.Write(b[:])
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.digest {
+			t.Errorf("poisson rate %v until %d: digest %s, want %s", tc.rate, tc.until, got, tc.digest)
+		}
 	}
 }
 
