@@ -103,7 +103,7 @@ type Discrete struct {
 	stepSecond  bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
 	stepBeta    float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
 	stepSigma   float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepRound   uint64         //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepPrefix  uint64         //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
 	stepNeedRNG bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
 
 	passZFn     func(s, lo, hi int)
@@ -261,7 +261,7 @@ func (d *Discrete) passRound(s, lo, hi int) {
 			continue
 		}
 		if d.stepNeedRNG {
-			pcg.Seed(randx.PCGPair3(d.seed, d.stepRound, uint64(i)))
+			pcg.Seed(randx.PCGPairAfter(d.stepPrefix, uint64(i)))
 		}
 		d.rounder.RoundNode(vals[:cnt], out[:cnt], rng)
 		mates := d.mates
@@ -333,7 +333,9 @@ func (d *Discrete) beginRound() {
 	d.stepSecond = d.kind == SOS && d.flowsValid
 	d.stepBeta = d.beta
 	d.stepSigma = d.beta - 1
-	d.stepRound = uint64(d.round)
+	// The node streams are PCGPair3(seed, round, node); their
+	// (seed, round) prefix is hashed once here.
+	d.stepPrefix = randx.Mix2(d.seed, uint64(d.round))
 	d.stepNeedRNG = !d.rounder.Deterministic()
 }
 

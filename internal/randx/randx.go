@@ -81,7 +81,16 @@ func PCGPair2(a, b uint64) (uint64, uint64) {
 // PCGPair3 is the allocation-free PCGPair for (masterSeed, round, node)
 // streams, the discrete engine's per-node rounding seed shape.
 func PCGPair3(a, b, c uint64) (uint64, uint64) {
-	s := Mix3(a, b, c)
+	return PCGPairAfter(Mix2(a, b), c)
+}
+
+// PCGPairAfter finishes a PCGPair3 whose first two words are already
+// hashed: PCGPairAfter(Mix2(a, b), c) equals PCGPair3(a, b, c) bit for bit.
+// A loop that seeds one stream per node of a round hashes the
+// (masterSeed, round) prefix once and pays one splitMix64 per node for the
+// mix instead of three.
+func PCGPairAfter(prefix, c uint64) (uint64, uint64) {
+	s := splitMix64(prefix ^ c)
 	return splitMix64(s), splitMix64(s ^ 0x5851_f42d_4c95_7f2d)
 }
 

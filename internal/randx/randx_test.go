@@ -113,10 +113,11 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-// TestFixedArityFastPathsMatchVariadic: Mix2/Mix3 and PCGPair2/PCGPair3
-// exist only to avoid the variadic slice allocation in per-node hot loops;
-// they must be bit-identical to their variadic originals, or counter
-// streams (and every seeded simulation) would silently change.
+// TestFixedArityFastPathsMatchVariadic: Mix2/Mix3, PCGPair2/PCGPair3 and
+// PCGPairAfter exist only to avoid the variadic slice allocation and the
+// repeated prefix hash in per-node hot loops; they must be bit-identical to
+// their variadic originals, or counter streams (and every seeded
+// simulation) would silently change.
 func TestFixedArityFastPathsMatchVariadic(t *testing.T) {
 	cases := [][3]uint64{
 		{0, 0, 0},
@@ -140,6 +141,20 @@ func TestFixedArityFastPathsMatchVariadic(t *testing.T) {
 		av, bv = PCGPair(c[0], c[1], c[2])
 		if a3 != av || b3 != bv {
 			t.Errorf("PCGPair3(%v) = (%d,%d), PCGPair = (%d,%d)", c, a3, b3, av, bv)
+		}
+	}
+	// PCGPairAfter is PCGPair3 with the (masterSeed, round) prefix hashed
+	// once per round; the per-node streams must not move.
+	rng := New(11)
+	for k := 0; k < 1000; k++ {
+		a, b, c := rng.Uint64(), rng.Uint64(), rng.Uint64()
+		if k%4 == 0 {
+			c %= 1 << 20 // node indices are small
+		}
+		ap, bp := PCGPairAfter(Mix2(a, b), c)
+		a3, b3 := PCGPair3(a, b, c)
+		if ap != a3 || bp != b3 {
+			t.Fatalf("PCGPairAfter(Mix2(%d, %d), %d) = (%d,%d), PCGPair3 = (%d,%d)", a, b, c, ap, bp, a3, b3)
 		}
 	}
 }

@@ -85,15 +85,18 @@ func (s seededRNG) at(seed uint64, coords ...uint64) *rand.Rand {
 	return s.rng
 }
 
-// at2 and at3 are the allocation-free fast paths for the per-round and
-// per-(round, node) streams; they match at() bit for bit.
+// at2 is the allocation-free fast path for the per-round streams; it
+// matches at() bit for bit.
 func (s seededRNG) at2(seed, a uint64) *rand.Rand {
 	s.pcg.Seed(randx.PCGPair2(seed, a))
 	return s.rng
 }
 
-func (s seededRNG) at3(seed, a, b uint64) *rand.Rand {
-	s.pcg.Seed(randx.PCGPair3(seed, a, b))
+// after is the per-node fast path of a round whose (seed, round) prefix
+// is already hashed: after(randx.Mix2(seed, round), node) matches
+// at3(seed, round, node) bit for bit.
+func (s seededRNG) after(prefix, c uint64) *rand.Rand {
+	s.pcg.Seed(randx.PCGPairAfter(prefix, c))
 	return s.rng
 }
 
@@ -171,13 +174,17 @@ func (h *Hotspot) Deltas(round int, loads Loads, out []int64) bool {
 // each round (stopping after round Until when Until > 0). Node i's arrival
 // count in round t is drawn from the (seed, t, i) stream, the same
 // counter-stream construction the discrete rounding uses, so results are
-// bit-identical for any worker count.
+// bit-identical for any worker count. Each Deltas call hashes the
+// (seed, t) prefix of those streams once and computes the sampler's
+// exp(−step) thresholds once per chunk, not once per node.
 type Poisson struct {
 	Rate  float64
 	Until int
 
 	seed uint64
 	rng  seededRNG
+	// limits is scratch for the per-chunk thresholds of the current call.
+	limits []float64
 }
 
 var _ Mutator = (*Poisson)(nil)
@@ -201,9 +208,11 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	if p.Rate <= 0 || (p.Until > 0 && round > p.Until) {
 		return false
 	}
+	p.limits = poissonLimits(p.limits[:0], p.Rate)
+	prefix := randx.Mix2(p.seed, uint64(round))
 	any := false
 	for i := range out {
-		k := poissonDraw(p.rng.at3(p.seed, uint64(round), uint64(i)), p.Rate)
+		k := poissonDraw(p.rng.after(prefix, uint64(i)), p.limits)
 		if k > 0 {
 			out[i] += k
 			any = true
@@ -212,20 +221,29 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	return any
 }
 
-// poissonDraw samples Poisson(rate) with Knuth's product-of-uniforms
-// algorithm, splitting large rates into chunks so exp(-rate) never
-// underflows. The draw consumes a deterministic, rate-dependent number of
-// uniforms from rng.
-func poissonDraw(rng *rand.Rand, rate float64) int64 {
+// poissonLimits appends to dst the Knuth threshold exp(−step) of each chunk
+// of rate: the rate is split into steps of at most 16 so exp(−step) never
+// underflows.
+func poissonLimits(dst []float64, rate float64) []float64 {
 	const chunk = 16.0
-	var k int64
 	for rate > 0 {
 		step := rate
 		if step > chunk {
 			step = chunk
 		}
 		rate -= step
-		l := math.Exp(-step)
+		dst = append(dst, math.Exp(-step))
+	}
+	return dst
+}
+
+// poissonDraw samples Poisson(rate) with Knuth's product-of-uniforms
+// algorithm, one product per chunk threshold from poissonLimits(rate). The
+// draw consumes a deterministic, rate-dependent number of uniforms from
+// rng.
+func poissonDraw(rng *rand.Rand, limits []float64) int64 {
+	var k int64
+	for _, l := range limits {
 		p := 1.0
 		for {
 			p *= rng.Float64()
