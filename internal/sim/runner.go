@@ -39,95 +39,34 @@ func MetricFunc(name string, fn func(core.Process) float64) Metric {
 	return metricFunc{name: name, fn: fn}
 }
 
-// intsOrFloats applies the right generic metric to the process load view.
-func intsOrFloats(p core.Process, fi func([]int64) float64, ff func([]float64) float64) float64 {
-	lv := p.Loads()
-	if lv.Int != nil {
-		return fi(lv.Int)
-	}
-	return ff(lv.Float)
-}
-
 // MaxMinusAvg is φ_global = max load − average load (metric 2, Section VI).
-func MaxMinusAvg() Metric {
-	return MetricFunc("max_minus_avg", func(p core.Process) float64 {
-		return intsOrFloats(p, metrics.MaxMinusAvg[int64], metrics.MaxMinusAvg[float64])
-	})
-}
+func MaxMinusAvg() Metric { return projection{name: "max_minus_avg", q: qMaxMinusAvg} }
 
 // MaxLocalDiff is φ_local = max load difference across an edge (metric 1).
-func MaxLocalDiff() Metric {
-	return MetricFunc("max_local_diff", func(p core.Process) float64 {
-		g := p.Operator().Graph()
-		lv := p.Loads()
-		if lv.Int != nil {
-			return metrics.MaxLocalDiff(g, lv.Int)
-		}
-		return metrics.MaxLocalDiff(g, lv.Float)
-	})
-}
+func MaxLocalDiff() Metric { return projection{name: "max_local_diff", q: qMaxLocalDiff} }
 
 // PotentialPerN is φ_t/n, the 2-norm potential of [19] divided by n as the
 // paper plots it (metric 3).
-func PotentialPerN() Metric { return MetricFunc("potential_per_n", potentialPerN) }
-
-// potentialPerN computes PotentialPerN; the telemetry gauge reads it too.
-func potentialPerN(p core.Process) float64 {
-	op, lv := p.Operator(), p.Loads()
-	sp, n := op.Speeds(), float64(op.Graph().NumNodes())
-	if lv.Int != nil {
-		return metrics.Potential(lv.Int, sp) / n
-	}
-	return metrics.Potential(lv.Float, sp) / n
-}
+func PotentialPerN() Metric { return projection{name: "potential_per_n", q: qPotentialPerN} }
 
 // Discrepancy is max − min load.
-func Discrepancy() Metric { return MetricFunc("discrepancy", discrepancy) }
-
-// discrepancy computes Discrepancy; PeakDiscrepancy and the telemetry gauge
-// read it too.
-func discrepancy(p core.Process) float64 {
-	return intsOrFloats(p, metrics.Discrepancy[int64], metrics.Discrepancy[float64])
-}
+func Discrepancy() Metric { return projection{name: "discrepancy", q: qDiscrepancy} }
 
 // MinLoad is the minimum end-of-round load (negative-load diagnostics).
-func MinLoad() Metric {
-	return MetricFunc("min_load", func(p core.Process) float64 {
-		return intsOrFloats(p, metrics.MinLoad[int64], metrics.MinLoad[float64])
-	})
-}
+func MinLoad() Metric { return projection{name: "min_load", q: qMinLoad} }
 
 // MinTransient is the running minimum transient load x̆ (Section V). Before
 // the first round the process reports the +Inf sentinel; mapping it to 0
 // would make the round-0 row indistinguishable from a true minimum
 // transient of zero in negative-load plots, so the metric reports the
 // current minimum load instead — the value the running minimum starts from.
-func MinTransient() Metric {
-	return MetricFunc("min_transient", func(p core.Process) float64 {
-		v := p.MinTransient()
-		if math.IsInf(v, 1) {
-			return intsOrFloats(p, metrics.MinLoad[int64], metrics.MinLoad[float64])
-		}
-		return v
-	})
-}
+func MinTransient() Metric { return projection{name: "min_transient", q: qMinTransient} }
 
 // TotalLoad is Σ x_i, for conservation plots (Figure 6, right).
-func TotalLoad() Metric {
-	return MetricFunc("total_load", func(p core.Process) float64 {
-		return intsOrFloats(p, metrics.Total[int64], metrics.Total[float64])
-	})
-}
+func TotalLoad() Metric { return projection{name: "total_load", q: qTotalLoad} }
 
 // HeteroMaxMinusTarget is the speed-proportional φ_global.
-func HeteroMaxMinusTarget() Metric {
-	return MetricFunc("max_minus_target", func(p core.Process) float64 {
-		sp := p.Operator().Speeds()
-		return intsOrFloats(p,
-			func(x []int64) float64 { return metrics.HeteroMaxMinusTarget(x, sp) },
-			func(x []float64) float64 { return metrics.HeteroMaxMinusTarget(x, sp) })
-	})
-}
+func HeteroMaxMinusTarget() Metric { return projection{name: "max_minus_target", q: qMaxMinusTarget} }
 
 // DeviationFrom records ‖x_P − x_ref‖_∞ against a reference process that
 // the caller steps in lockstep (e.g. the idealized continuous run).
@@ -165,13 +104,7 @@ func DeviationFrom(ref core.Process, name string) Metric {
 // per Runner, never share one metrics slice across runs.
 func PeakDiscrepancy() Metric {
 	peak := math.Inf(-1)
-	return MetricFunc("peak_discrepancy", func(p core.Process) float64 {
-		d := discrepancy(p)
-		if d > peak {
-			peak = d
-		}
-		return peak
-	})
+	return projection{name: "peak_discrepancy", q: qPeakDiscrepancy, peak: &peak}
 }
 
 // InjectedLoad samples the cumulative net externally injected load
@@ -212,14 +145,7 @@ func RoundsToRecover(s *Series, col string, fromRound int, threshold float64) (i
 // time-varying environments: a speed event moves x̄, so the drift jumps the
 // round the operator is reweighted without a single token having moved, and
 // the recorded column shows how fast the scheme chases the new target.
-func IdealLoadDrift() Metric {
-	return MetricFunc("ideal_drift", func(p core.Process) float64 {
-		sp := p.Operator().Speeds()
-		return intsOrFloats(p,
-			func(x []int64) float64 { return metrics.HeteroMaxAbsDeviation(x, sp) },
-			func(x []float64) float64 { return metrics.HeteroMaxAbsDeviation(x, sp) })
-	})
-}
+func IdealLoadDrift() Metric { return projection{name: "ideal_drift", q: qIdealDrift} }
 
 // SpeedSum records Σ s_i of the operator's current speeds, so recordings
 // show the environment trajectory alongside the load metrics (it only moves
@@ -391,14 +317,6 @@ func reweight(p core.Process, sp *hetero.Speeds, retargeters []core.Retargeter) 
 	return nil
 }
 
-// workloadLoads adapts a process's load vector to the workload.Loads view.
-func workloadLoads(lv core.LoadView) workload.Loads {
-	if lv.Int != nil {
-		return workload.IntLoads(lv.Int)
-	}
-	return workload.SliceLoads(lv.Float)
-}
-
 // SpeedEvent records one effective speed change of a dynamic-environment
 // run.
 type SpeedEvent struct {
@@ -565,6 +483,14 @@ type Result struct {
 // retarget); re-optimize β; inject the Scenario's load half; inject the
 // Workload; evaluate the Adaptive policy; call OnRound; record the
 // telemetry gauges; sample the metrics when the round is due.
+//
+// The gauges and the built-in metrics read one observation of Proc per
+// round, taken after OnRound: OnRound may still mutate the process, and the
+// observation sees what it left. Each of its scans (Σx, min and max; the
+// deviations from the speed-proportional targets; φ_local over the arcs)
+// runs at most once per round, and only when a gauge or a due metric reads
+// it. Any other Metric, including a wrapped built-in one, computes its own
+// value from Proc.
 func (r *Runner) Run(rounds int) (*Result, error) {
 	if r.Proc == nil {
 		return nil, errors.New("sim: Runner.Proc is nil")
@@ -638,8 +564,8 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		if injectors, err = capable[core.Injector](r, fmt.Sprintf("Workload %q", r.Workload.Name())); err != nil {
 			return nil, err
 		}
-		wl = &injection{what: fmt.Sprintf("workload %q", r.Workload.Name()),
-			mut: r.Workload, deltas: make([]int64, workloadLoads(r.Proc.Loads()).Len())}
+		wl = &injection{what: fmt.Sprintf("workload %q", r.Workload.Name()), mut: r.Workload}
+		wl.deltas = make([]int64, wl.view(r.Proc.Loads()).Len())
 	}
 	// β re-optimization trigger: the baseline starts at the initial total
 	// speed.
@@ -658,10 +584,17 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		chk = newInvariantChecker(r.Proc)
 	}
 
+	// One observation of Proc per round, shared by the gauges and the
+	// built-in metrics; any other Metric computes its own value.
+	obs := observation{p: r.Proc}
+	row := make([]float64, len(ms)) // Series.Append copies it
 	record := func(round int) error {
-		row := make([]float64, len(ms))
 		for i, m := range ms {
-			row[i] = m.Compute(r.Proc)
+			if pm, ok := m.(projection); ok {
+				row[i] = pm.from(&obs)
+			} else {
+				row[i] = m.Compute(r.Proc)
+			}
 		}
 		return series.Append(round, row...)
 	}
@@ -763,12 +696,15 @@ func (r *Runner) Run(rounds int) (*Result, error) {
 		if r.OnRound != nil {
 			r.OnRound(round, r.Proc)
 		}
-		// Per-round telemetry gauges: the O(n) scans are guarded on the
-		// probe so a detached run pays nothing; the values are plain
+		// The round's observation starts here, after OnRound, which may
+		// still mutate the process.
+		obs.reset()
+		// Per-round telemetry gauges: the scans are guarded on the probe so
+		// a detached run pays nothing; the values are plain
 		// read-and-record, feeding nothing back into the trajectory.
 		if r.Telemetry != nil {
 			sw.Stop()
-			r.Telemetry.RoundCompleted(round, discrepancy(r.Proc), potentialPerN(r.Proc),
+			r.Telemetry.RoundCompleted(round, obs.discrepancy(), obs.potentialPerN(),
 				r.Proc.Operator().Speeds().Sum(), float64(res.StaleBetaRounds))
 		}
 		if round%every == 0 || round == rounds {
@@ -807,6 +743,22 @@ type injection struct {
 	what   string // the source in errors, e.g. `workload "poisson:0.5"`
 	mut    workload.Mutator
 	deltas []int64
+	// ints and floats hold the view of the process's loads that view hands
+	// the Mutator as a pointer, so a draw boxes nothing.
+	ints   workload.IntLoads
+	floats workload.SliceLoads
+}
+
+// view points the injection's load view at lv and returns it. inject calls
+// it at every draw: Continuous swaps its load buffers every Step, so the
+// backing slice of one round is not the next round's.
+func (in *injection) view(lv core.LoadView) workload.Loads {
+	if lv.Int != nil {
+		in.ints = lv.Int
+		return &in.ints
+	}
+	in.floats = lv.Float
+	return &in.floats
 }
 
 // inject draws the source's deltas for round from p's loads and, when it
@@ -815,7 +767,7 @@ type injection struct {
 // reports whether the source fired.
 func (in *injection) inject(round int, p core.Process, injectors []core.Injector, chk *invariantChecker) (bool, error) {
 	clear(in.deltas)
-	if !in.mut.Deltas(round, workloadLoads(p.Loads()), in.deltas) {
+	if !in.mut.Deltas(round, in.view(p.Loads()), in.deltas) {
 		return false, nil
 	}
 	for i, inj := range injectors {

@@ -235,3 +235,71 @@ func TestTelemetryGaugesAllocFree(t *testing.T) {
 		t.Errorf("a run allocates %v times over 20 rounds and %v over 120; the gauges must not allocate", short, long)
 	}
 }
+
+// TestRunnerInjectionAllocFree: a run with a workload and a scenario
+// allocates per round only for its Series rows — drawing and injecting the
+// deltas and sampling the metrics allocate nothing — so a run of 120 rounds
+// and one of 20 differ in allocations exactly as a Series of 121 rows and
+// one of 21 do.
+func TestRunnerInjectionAllocFree(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("the invariant checker formats a context string every round")
+	}
+	g, err := graph.Torus2D(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	x0, err := metrics.PointLoad(n, 100000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			op, err := spectral.NewOperator(g, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proc, err := core.NewDiscrete(core.Config{Op: op, Kind: core.SOS, Beta: 1.5}, nil, 1, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := workload.FromSpec("poisson:0.5", n, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The scenario fires in round 5 only, so both run lengths record
+			// the same events.
+			sc, err := scenario.FromSpec("correlated:at=5,frac=0.125,factor=0.25,load=2000", n, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &Runner{Proc: proc, Workload: wl, Scenario: sc, Metrics: MetricsFor(op.Speeds(), wl, nil, sc)}
+			res, err := r.Run(rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.ScenarioEvents) != 1 {
+				t.Fatalf("%d scenario events, want 1", len(res.ScenarioEvents))
+			}
+			names = res.Series.Names()
+		})
+	}
+	rows := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			s := NewSeries(names...)
+			row := make([]float64, len(names))
+			for round := 0; round <= rounds; round++ {
+				if err := s.Append(round, row...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	short, long := run(20), run(120)
+	if got, want := long-short, rows(120)-rows(20); got != want {
+		t.Errorf("a run allocates %v times over 20 rounds and %v over 120 (+%v); its Series rows account for +%v",
+			short, long, got, want)
+	}
+}
