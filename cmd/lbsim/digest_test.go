@@ -9,9 +9,20 @@ import (
 )
 
 // runStdout runs lbsim with args and returns everything it printed to
-// stdout. It swaps os.Stdout for a pipe, so its callers must not run in
-// parallel.
+// stdout, failing the test if the run fails.
 func runStdout(t *testing.T, args []string) []byte {
+	t.Helper()
+	b, err := captureStdout(t, args)
+	if err != nil {
+		t.Fatalf("run(%q): %v", args, err)
+	}
+	return b
+}
+
+// captureStdout runs lbsim with args and returns everything it printed to
+// stdout and the run's error. It swaps os.Stdout for a pipe, so its callers
+// must not run in parallel.
+func captureStdout(t *testing.T, args []string) ([]byte, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -31,10 +42,7 @@ func runStdout(t *testing.T, args []string) []byte {
 	w.Close()
 	b := <-out
 	r.Close()
-	if runErr != nil {
-		t.Fatalf("run(%q): %v", args, runErr)
-	}
-	return b
+	return b, runErr
 }
 
 // TestStdoutDigests pins lbsim's stdout bit for bit: every seed, λ, β,

@@ -328,13 +328,13 @@ func run(args []string) error {
 			return withGrammar(err)
 		}
 		g := sys.Graph
-		fmt.Printf("%s: n=%d |E|=%d d=%d lambda=%.10f beta_opt=%.10f",
+		header := fmt.Sprintf("%s: n=%d |E|=%d d=%d lambda=%.10f beta_opt=%.10f",
 			g.Name(), g.NumNodes(), g.NumEdges(), g.MaxDegree(), sys.Lambda, sys.Beta)
 		if sys.Speeds != nil {
-			fmt.Printf(" s_max=%.3f", sys.Speeds.Max())
+			header += fmt.Sprintf(" s_max=%.3f", sys.Speeds.Max())
 		}
-		fmt.Println()
 		if *spectrum {
+			fmt.Println(header)
 			return nil
 		}
 		runner, err := spec.Build(sys)
@@ -347,7 +347,7 @@ func run(args []string) error {
 			}
 			runner.Telemetry = telemetry.NewRunProbe(telReg, telTr)
 		}
-		return freeFormRun(runner, *rounds, *csvPath, *tableRows)
+		return freeFormRun(runner, header, *rounds, *csvPath, *tableRows)
 
 	default:
 		fs.Usage()
@@ -410,12 +410,15 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-// freeFormRun runs a free-form run and prints its events and series.
-func freeFormRun(runner *sim.Runner, rounds int, csvPath string, tableRows int) error {
+// freeFormRun runs a free-form run and prints the topology header, its
+// events and its series. Nothing is printed unless the run succeeds, so a
+// failed run leaves no partial stdout.
+func freeFormRun(runner *sim.Runner, header string, rounds int, csvPath string, tableRows int) error {
 	res, err := runner.Run(rounds)
 	if err != nil {
 		return err
 	}
+	fmt.Println(header)
 	for _, ev := range res.Switches {
 		fmt.Printf("switched to %s at round %d\n", ev.To, ev.Round)
 	}

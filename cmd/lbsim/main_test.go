@@ -340,7 +340,8 @@ func TestAvgOverflowRejected(t *testing.T) {
 
 // TestInjectOverflowRejected: a workload that would take one node's load,
 // or only the total load, beyond int64 fails the run with the workload and
-// the round in the message, instead of printing wrapped-around loads.
+// the round in the message, instead of printing wrapped-around loads, and
+// prints nothing to stdout.
 func TestInjectOverflowRejected(t *testing.T) {
 	for _, tc := range []struct{ workload, want string }{
 		{"burst:1:9223372036854775807",
@@ -349,8 +350,12 @@ func TestInjectOverflowRejected(t *testing.T) {
 			`workload "burst:1:5000000000000000000:0+burst:1:5000000000000000000:1" at round 1: core: bad configuration: injection overflows the int64 total load`},
 	} {
 		args := []string{"-graph", "cycle:4", "-scheme", "fos", "-rounds", "3", "-every", "1", "-avg", "1000", "-workload", tc.workload}
-		if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+		out, err := captureStdout(t, args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v): err = %v, want one containing %q", args, err, tc.want)
+		}
+		if len(out) != 0 {
+			t.Errorf("run(%v) failed but printed %q", args, out)
 		}
 	}
 }
