@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale perfbench-check clean
+.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale perfbench-check perfbench-digests clean
 
 all: build
 
@@ -112,6 +112,29 @@ bench-scale:
 # network.
 perfbench-check:
 	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off && $(GO) vet ./... && $(GO) test ./...
+
+# perfbench-digests pins the benchmark trajectories: it runs every
+# perfbench workload briefly at seed 1 and fails unless each job's digest
+# (series and final loads, see perfbench/README.md) equals the recorded
+# one and the run's last line reports "correct":true. About 70 s on a
+# 2-vCPU VM.
+PERFBENCH_DIGESTS = torus-static=42247b981a257bf1 regular-reopt=0a2205168f04964d \
+	torus-dynamic=1a909e0576fd6b5b regular-actor=c1106082e2978ea4
+perfbench-digests:
+	@for pair in $(PERFBENCH_DIGESTS); do \
+		w="$${pair%%=*}"; want="$${pair#*=}"; \
+		if ! out="$$(bash perfbench/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 0 2>&1)"; then \
+			printf '%s\n' "$$out" | tail -n 20; echo "perfbench-digests: $$w failed"; exit 1; \
+		fi; \
+		got="$$(printf '%s\n' "$$out" | sed -n 's/.* digest \([0-9a-f]*\),.*/\1/p')"; \
+		if [ -z "$$got" ] || printf '%s\n' "$$got" | grep -qvx "$$want"; then \
+			echo "perfbench-digests: $$w job digests" $$got "differ from $$want"; exit 1; \
+		fi; \
+		if ! printf '%s\n' "$$out" | tail -n 1 | grep -qF '"correct":true'; then \
+			printf '%s\n' "$$out" | tail -n 1; echo "perfbench-digests: $$w is not correct"; exit 1; \
+		fi; \
+		echo "perfbench-digests: $$w $$want ok ($$(printf '%s\n' "$$got" | wc -l) jobs)"; \
+	done
 
 clean:
 	$(GO) clean ./...
