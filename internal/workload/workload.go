@@ -174,17 +174,15 @@ func (h *Hotspot) Deltas(round int, loads Loads, out []int64) bool {
 // each round (stopping after round Until when Until > 0). Node i's arrival
 // count in round t is drawn from the (seed, t, i) stream, the same
 // counter-stream construction the discrete rounding uses, so results are
-// bit-identical for any worker count. Each Deltas call hashes the
-// (seed, t) prefix of those streams once and computes the sampler's
-// exp(−step) thresholds once per chunk, not once per node.
+// bit-identical for any worker count. Each Deltas call hashes the (seed, t)
+// prefix of those streams once and computes the sampler's thresholds
+// exp(−step) once, not once per node.
 type Poisson struct {
 	Rate  float64
 	Until int
 
 	seed uint64
 	rng  seededRNG
-	// limits is scratch for the per-chunk thresholds of the current call.
-	limits []float64
 }
 
 var _ Mutator = (*Poisson)(nil)
@@ -208,11 +206,11 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	if p.Rate <= 0 || (p.Until > 0 && round > p.Until) {
 		return false
 	}
-	p.limits = poissonLimits(p.limits[:0], p.Rate)
+	full, last := poissonLimits(p.Rate)
 	prefix := randx.Mix2(p.seed, uint64(round))
 	any := false
 	for i := range out {
-		k := poissonDraw(p.rng.after(prefix, uint64(i)), p.limits)
+		k := poissonDraw(p.rng.after(prefix, uint64(i)), p.Rate, full, last)
 		if k > 0 {
 			out[i] += k
 			any = true
@@ -221,29 +219,32 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	return any
 }
 
-// poissonLimits appends to dst the Knuth threshold exp(−step) of each chunk
-// of rate: the rate is split into steps of at most 16 so exp(−step) never
-// underflows.
-func poissonLimits(dst []float64, rate float64) []float64 {
-	const chunk = 16.0
-	for rate > 0 {
-		step := rate
-		if step > chunk {
-			step = chunk
-		}
-		rate -= step
-		dst = append(dst, math.Exp(-step))
+// poissonChunk is the largest rate one Knuth product covers, so that
+// exp(−step) never underflows.
+const poissonChunk = 16.0
+
+// poissonLimits returns the Knuth thresholds of a Poisson(rate) draw:
+// exp(−16) for each full chunk and exp(−r) for the last chunk r ≤ 16, which
+// the draw's own loop reaches by the same subtractions.
+func poissonLimits(rate float64) (full, last float64) {
+	for rate > poissonChunk {
+		rate -= poissonChunk
 	}
-	return dst
+	return math.Exp(-poissonChunk), math.Exp(-rate)
 }
 
 // poissonDraw samples Poisson(rate) with Knuth's product-of-uniforms
-// algorithm, one product per chunk threshold from poissonLimits(rate). The
-// draw consumes a deterministic, rate-dependent number of uniforms from
-// rng.
-func poissonDraw(rng *rand.Rand, limits []float64) int64 {
+// algorithm, one product per chunk of rate, against the thresholds from
+// poissonLimits(rate). The draw consumes a deterministic, rate-dependent
+// number of uniforms from rng.
+func poissonDraw(rng *rand.Rand, rate, full, last float64) int64 {
 	var k int64
-	for _, l := range limits {
+	for rate > 0 {
+		step, l := rate, last
+		if step > poissonChunk {
+			step, l = poissonChunk, full
+		}
+		rate -= step
 		p := 1.0
 		for {
 			p *= rng.Float64()
