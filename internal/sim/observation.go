@@ -14,7 +14,8 @@ import (
 // functions they replace, so every projection read off it is bit-identical
 // to its reference. Runner.Run keeps one per round, shared by the
 // telemetry gauges and the recorded metrics; a projection's Compute takes a
-// one-shot observation. Only the target and arc scans read p.Operator().
+// one-shot observation. Only the quantities that need the speeds or the
+// graph read p.Operator(): the node scan's quantities need no operator.
 type observation struct {
 	p    core.Process
 	done scans

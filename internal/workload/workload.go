@@ -94,7 +94,7 @@ func (s seededRNG) at2(seed, a uint64) *rand.Rand {
 
 // after is the per-node fast path of a round whose (seed, round) prefix
 // is already hashed: after(randx.Mix2(seed, round), node) matches
-// at3(seed, round, node) bit for bit.
+// at(seed, round, node) bit for bit.
 func (s seededRNG) after(prefix, c uint64) *rand.Rand {
 	s.pcg.Seed(randx.PCGPairAfter(prefix, c))
 	return s.rng
@@ -175,8 +175,8 @@ func (h *Hotspot) Deltas(round int, loads Loads, out []int64) bool {
 // count in round t is drawn from the (seed, t, i) stream, the same
 // counter-stream construction the discrete rounding uses, so results are
 // bit-identical for any worker count. Each Deltas call hashes the (seed, t)
-// prefix of those streams once and computes the sampler's thresholds
-// exp(−step) once, not once per node.
+// prefix of those streams once and computes the sampler's threshold
+// exp(−step) for the rate's last chunk once, not once per node.
 type Poisson struct {
 	Rate  float64
 	Until int
@@ -206,11 +206,11 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	if p.Rate <= 0 || (p.Until > 0 && round > p.Until) {
 		return false
 	}
-	full, last := poissonLimits(p.Rate)
+	last := poissonLastLimit(p.Rate)
 	prefix := randx.Mix2(p.seed, uint64(round))
 	any := false
 	for i := range out {
-		k := poissonDraw(p.rng.after(prefix, uint64(i)), p.Rate, full, last)
+		k := poissonDraw(p.rng.after(prefix, uint64(i)), p.Rate, last)
 		if k > 0 {
 			out[i] += k
 			any = true
@@ -219,30 +219,32 @@ func (p *Poisson) Deltas(round int, loads Loads, out []int64) bool {
 	return any
 }
 
-// poissonChunk is the largest rate one Knuth product covers, so that
-// exp(−step) never underflows.
+// poissonChunk is the largest rate one Knuth product covers, so that its
+// threshold exp(−step) never underflows; poissonChunkLimit is exp(−16).
 const poissonChunk = 16.0
 
-// poissonLimits returns the Knuth thresholds of a Poisson(rate) draw:
-// exp(−16) for each full chunk and exp(−r) for the last chunk r ≤ 16, which
-// the draw's own loop reaches by the same subtractions.
-func poissonLimits(rate float64) (full, last float64) {
+var poissonChunkLimit = math.Exp(-poissonChunk)
+
+// poissonLastLimit returns the Knuth threshold exp(−r) of the last chunk
+// r ≤ 16 of a Poisson(rate) draw, reached by the same subtractions as the
+// draw's own loop; every other chunk has poissonChunkLimit.
+func poissonLastLimit(rate float64) float64 {
 	for rate > poissonChunk {
 		rate -= poissonChunk
 	}
-	return math.Exp(-poissonChunk), math.Exp(-rate)
+	return math.Exp(-rate)
 }
 
 // poissonDraw samples Poisson(rate) with Knuth's product-of-uniforms
-// algorithm, one product per chunk of rate, against the thresholds from
-// poissonLimits(rate). The draw consumes a deterministic, rate-dependent
+// algorithm, one product per chunk of rate; last is
+// poissonLastLimit(rate). The draw consumes a deterministic, rate-dependent
 // number of uniforms from rng.
-func poissonDraw(rng *rand.Rand, rate, full, last float64) int64 {
+func poissonDraw(rng *rand.Rand, rate, last float64) int64 {
 	var k int64
 	for rate > 0 {
 		step, l := rate, last
 		if step > poissonChunk {
-			step, l = poissonChunk, full
+			step, l = poissonChunk, poissonChunkLimit
 		}
 		rate -= step
 		p := 1.0
