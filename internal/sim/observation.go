@@ -93,24 +93,18 @@ func nodeStats[T metrics.Real](x []T) (n int, total, mn, mx float64) {
 // targetStats returns Σ(x−x̄_i)², max|x−x̄_i| and max(x−x̄_i) against the
 // proportional targets of total under sp.
 func targetStats[T metrics.Real](x []T, total float64, sp *hetero.Speeds) (sq, absMax, mx float64) {
-	mx = math.Inf(-1)
-	if sp.IsHomogeneous() {
-		avg := total / float64(len(x))
-		for _, v := range x {
-			d := float64(v) - avg
-			sq += d * d
-			if a := math.Abs(d); a > absMax {
-				absMax = a
-			}
-			if d > mx {
-				mx = d
-			}
-		}
-		return sq, absMax, mx
+	homog, avg := sp.IsHomogeneous(), total/float64(len(x))
+	var sSum float64
+	if !homog {
+		sSum = sp.Sum()
 	}
-	sSum := sp.Sum()
+	mx = math.Inf(-1)
 	for i, v := range x {
-		d := float64(v) - total*sp.Of(i)/sSum
+		t := avg
+		if !homog {
+			t = total * sp.Of(i) / sSum
+		}
+		d := float64(v) - t
 		sq += d * d
 		if a := math.Abs(d); a > absMax {
 			absMax = a
