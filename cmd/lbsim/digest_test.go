@@ -48,8 +48,8 @@ func captureStdout(t *testing.T, args []string) ([]byte, error) {
 // TestStdoutDigests pins lbsim's stdout bit for bit: every seed, λ, β,
 // metric set and recorded value reaches the digest. The cases cover every
 // branch of the run builder (each rounder, both actor modes, speeds,
-// workload, policy, env and scenario with β re-opt, -spectrum) and CSV and
-// JSON sweeps over every axis, on graphs whose λ comes in closed form
+// workload, policy, env and scenario with β re-opt, -spectrum) and CSV,
+// JSON and table sweeps over every axis, on graphs whose λ comes in closed form
 // (torus2d, hypercube) and by power iteration (regular). A change that
 // moves a digest changes what lbsim prints; re-pin only on purpose.
 func TestStdoutDigests(t *testing.T) {
@@ -99,6 +99,9 @@ func TestStdoutDigests(t *testing.T) {
 			"-scheme", "sos,fos", "-speeds", "twoclass:0.25:4", "-workload", ";burst:10:3000",
 			"-scenario", ";drain:at=10,frac=0.25,ramp=4", "-policy", ";adaptive:8:64:5",
 			"-rounds", "40", "-every", "4", "-format", "csv"}, "c437b88aa9fac47e"},
+		{"sweep-speeds-table", []string{"-sweep", "-graph", "torus2d:8x8,regular:64:4",
+			"-scheme", "sos,fos", "-speeds", ",twoclass:0.25:4", "-replicates", "2",
+			"-rounds", "40", "-rows", "6"}, "87be42961d3f4212"},
 	}
 	for _, tc := range cases {
 		h := fnv.New64a()
