@@ -21,7 +21,11 @@
 //	    Expand the cross product of the comma-separated axes into
 //	    independent cells, run them on the bounded worker pool, and print
 //	    replicate-aggregated mean/std/min/max series. Output is bitwise
-//	    identical for every -workers value.
+//	    identical for every -workers value. csv and json print each
+//	    aggregated group as soon as it and every earlier group complete,
+//	    so memory stays bounded; a sweep that fails exits 1 with stdout
+//	    holding the groups before the first failing one. table prints
+//	    once the whole grid has run.
 //
 //	lbsim -graph torus2d:100x100 -scheme sos -rounder randomized \
 //	      -rounds 1000 [-avg 1000] [-policy adaptive:16:64:100] [-csv out.csv] \
@@ -47,9 +51,7 @@
 //	    re-inflates the speed-normalized local difference. -workload,
 //	    -env, -scenario and -policy are also sweep axes in -sweep mode;
 //	    their lists are ';'-separated uniformly, because env and scenario
-//	    specs contain commas. -sweep -stream csv|json streams each
-//	    aggregated group as it completes (byte-identical to -format
-//	    csv/json, bounded memory).
+//	    specs contain commas.
 //	    -runtime actor:K[,stale=S] runs the simulation on the message-
 //	    passing actor runtime: K shard actors exchange boundary flux over
 //	    channels; stale=0 (the default) is the barrier mode, bit-identical
@@ -166,7 +168,6 @@ func run(args []string) error {
 		scenarioSpec = fs.String("scenario", "", "coupled scenario (speed + load on one timeline): drain:at=R,frac=F[,ramp=W][,restore=R2] | correlated:at=R,frac=F,factor=X,load=L | cascade:at=R,waves=K,gap=G,frac=F,factor=X, joined with '+' (empty = none; ';'-separated list in -sweep mode)")
 		betaReopt    = fs.Float64("betareopt", 0, "re-optimize the SOS beta whenever the total speed drifts by this relative threshold (0 = off; free-form mode, needs -env or -scenario)")
 		policySpec   = fs.String("policy", "", "hybrid switch policy: at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never (empty = never; ';'-separated list in -sweep mode)")
-		stream       = fs.String("stream", "", "sweep mode: stream each aggregated group as it completes instead of holding the whole grid in memory (csv | json; byte-identical to the -format csv/json output)")
 		every        = fs.Int("every", 0, "recording cadence (0 = auto)")
 		csvPath      = fs.String("csv", "", "write the recorded series to this CSV file")
 		spectrum     = fs.Bool("spectrum", false, "print spectral data for -graph and exit")
@@ -271,31 +272,22 @@ func run(args []string) error {
 		if telReg != nil {
 			sweepOpts.Telemetry = telemetry.NewSweepProbe(telReg, telTr)
 		}
-		if *stream != "" {
-			if flagWasSet(fs, "format") && *format != *stream {
-				return fmt.Errorf("-stream %s conflicts with -format %s (streaming fixes the format)", *stream, *format)
-			}
-			switch *stream {
-			case "csv":
-				return withGrammar(sweep.StreamCSV(ctx, spec, sweepOpts, os.Stdout))
-			case "json":
-				return withGrammar(sweep.StreamJSON(ctx, spec, sweepOpts, os.Stdout))
-			default:
-				return fmt.Errorf("unknown -stream %q (csv|json)", *stream)
-			}
-		}
-		res, err := sweep.Run(ctx, spec, sweepOpts)
-		if err != nil {
-			return withGrammar(err)
-		}
+		// csv and json write each group as it completes; the table is
+		// printed once the whole grid has run, so a failed table sweep
+		// prints nothing.
 		switch *format {
-		case "json":
-			return res.WriteJSON(os.Stdout)
 		case "csv":
-			return res.WriteCSV(os.Stdout)
+			return withGrammar(sweep.StreamCSV(ctx, spec, sweepOpts, os.Stdout))
+		case "json":
+			return withGrammar(sweep.StreamJSON(ctx, spec, sweepOpts, os.Stdout))
 		case "table":
+			res, err := sweep.Run(ctx, spec, sweepOpts)
+			if err != nil {
+				return withGrammar(err)
+			}
+			reps := res.Spec.Replicates
 			fmt.Printf("sweep: %d cells (%d groups x %d replicates), %d rounds\n",
-				spec.NumCells(), spec.NumCells()/max(1, *replicates), *replicates, *rounds)
+				len(res.Groups)*reps, len(res.Groups), reps, res.Spec.Rounds)
 			return res.WriteTable(os.Stdout, *tableRows)
 		default:
 			return fmt.Errorf("unknown -format %q (table|csv|json)", *format)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"strconv"
@@ -450,25 +451,20 @@ func TestRunSweepScenarioAxis(t *testing.T) {
 		"-rounds", "25", "-every", "5", "-format", "csv"}); err != nil {
 		t.Fatal(err)
 	}
-	// Streaming CSV mode over the same grid.
-	if err := run([]string{"-sweep", "-stream", "csv", "-graph", "torus2d:6x6",
+	// The table format over the same grid.
+	if err := run([]string{"-sweep", "-graph", "torus2d:6x6",
 		"-scheme", "sos", "-speeds", "twoclass:0.25:4",
 		"-scenario", ";drain:at=10,frac=0.125,ramp=4",
-		"-rounds", "25", "-every", "5", "-format", "csv"}); err != nil {
+		"-rounds", "25", "-every", "5", "-format", "table"}); err != nil {
 		t.Fatal(err)
 	}
-	// Streaming fixes the format; a conflicting explicit -format is a typo.
-	if err := run([]string{"-sweep", "-stream", "csv", "-graph", "cycle:8",
-		"-rounds", "10", "-format", "table"}); err == nil {
-		t.Fatal("-stream csv with -format table should be rejected")
+	if err := run([]string{"-sweep", "-graph", "cycle:8",
+		"-rounds", "10", "-format", "yaml"}); err == nil {
+		t.Fatal("-format yaml should be rejected")
 	}
-	if err := run([]string{"-sweep", "-stream", "yaml", "-graph", "cycle:8",
-		"-rounds", "10"}); err == nil {
-		t.Fatal("-stream yaml should be rejected")
-	}
-	// The JSON streaming sink through the CLI.
-	if err := run([]string{"-sweep", "-stream", "json", "-graph", "cycle:8",
-		"-scheme", "sos", "-rounds", "10", "-every", "5"}); err != nil {
+	// The JSON format through the CLI.
+	if err := run([]string{"-sweep", "-graph", "cycle:8",
+		"-scheme", "sos", "-rounds", "10", "-every", "5", "-format", "json"}); err != nil {
 		t.Fatal(err)
 	}
 	// -betareopt has no sweep axis; silently running every cell with a
@@ -476,5 +472,59 @@ func TestRunSweepScenarioAxis(t *testing.T) {
 	if err := run([]string{"-sweep", "-graph", "cycle:8",
 		"-betareopt", "0.1", "-rounds", "10", "-format", "csv"}); err == nil {
 		t.Fatal("-betareopt in -sweep mode should be rejected")
+	}
+}
+
+// TestSweepFailureKeepsCompletedGroups: a csv sweep whose second group
+// overflows at round 1 exits with the overflow error, and its stdout is
+// exactly the first group's output, whole, at every worker count.
+func TestSweepFailureKeepsCompletedGroups(t *testing.T) {
+	const burst = "burst:1:9223372036854775807"
+	for _, workers := range []string{"1", "2"} {
+		args := func(workload string) []string {
+			return []string{"-sweep", "-graph", "torus2d:8x8", "-scheme", "sos", "-rounds", "200",
+				"-every", "1", "-workers", workers, "-workload", workload, "-format", "csv"}
+		}
+		want := runStdout(t, args(""))
+		got, err := captureStdout(t, args(";"+burst))
+		if err == nil || !strings.Contains(err.Error(), "overflows int64 loads") {
+			t.Fatalf("workers=%s: err = %v, want the injection overflow", workers, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%s: failed sweep printed %d bytes, want the %d bytes of its first group",
+				workers, len(got), len(want))
+		}
+	}
+}
+
+// TestSweepUnknownFormatFailsFirst: an unknown -format fails before any
+// cell runs, so the injection overflow the grid would hit is never
+// reached and nothing is printed.
+func TestSweepUnknownFormatFailsFirst(t *testing.T) {
+	out, err := captureStdout(t, []string{"-sweep", "-graph", "cycle:4", "-scheme", "fos", "-rounds", "3",
+		"-workload", "burst:1:9223372036854775807", "-format", "yaml"})
+	if err == nil || !strings.Contains(err.Error(), `unknown -format "yaml"`) {
+		t.Errorf("err = %v, want the unknown -format error", err)
+	}
+	if len(out) != 0 {
+		t.Errorf("printed %q before failing", out)
+	}
+}
+
+// TestSweepTableBannerReplicates: the table banner prints the replicate
+// count each group ran, so -replicates 0 (the default, 1) prints 1, and a
+// negative count is rejected instead of running one replicate.
+func TestSweepTableBannerReplicates(t *testing.T) {
+	args := []string{"-sweep", "-graph", "cycle:8", "-scheme", "sos,fos", "-rounds", "10", "-replicates"}
+	out := runStdout(t, append(args, "0"))
+	if want := "sweep: 2 cells (2 groups x 1 replicates), 10 rounds\n"; !strings.HasPrefix(string(out), want) {
+		t.Errorf("-replicates 0 banner: %q, want prefix %q", out, want)
+	}
+	out, err := captureStdout(t, append(args, "-3"))
+	if err == nil || !strings.Contains(err.Error(), "Replicates >= 0") {
+		t.Errorf("-replicates -3: err = %v, want a negative-replicates error", err)
+	}
+	if len(out) != 0 {
+		t.Errorf("-replicates -3 printed %q", out)
 	}
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -81,26 +80,9 @@ func (g Group) Label() string {
 	return strings.Join(parts, " ")
 }
 
-// aggregate collapses the per-cell series (indexed like cells) into groups.
+// aggregateGroup collapses the replicates of one coordinate into a Group.
 // Summation runs in replicate order, so the floating-point results are
 // identical for every worker count.
-func aggregate(spec Spec, cells []Cell, series []*sim.Series, switches [][]core.SwitchEvent, systems map[sysKey]*sim.System) (*Result, error) {
-	res := &Result{Spec: spec}
-	for start := 0; start < len(cells); start += spec.Replicates {
-		g, err := aggregateGroup(spec, cells[start],
-			series[start:start+spec.Replicates], switches[start:start+spec.Replicates],
-			systems[sysKey{cells[start].graphIdx, cells[start].speedsIdx}])
-		if err != nil {
-			return nil, err
-		}
-		res.Groups = append(res.Groups, g)
-	}
-	return res, nil
-}
-
-// aggregateGroup collapses the replicates of one coordinate into a Group —
-// the unit both the in-memory aggregate and the streaming CSV sink share,
-// which is what pins their outputs byte-identical.
 func aggregateGroup(spec Spec, c Cell, reps []*sim.Series, switches [][]core.SwitchEvent, sys *sim.System) (Group, error) {
 	base := reps[0]
 	names := base.Names()
@@ -170,13 +152,6 @@ func aggregateGroup(spec Spec, c Cell, reps []*sim.Series, switches [][]core.Swi
 	return g, nil
 }
 
-// WriteJSON writes the full aggregated result as indented JSON.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // csvHeader is the single source of truth for the CSV column set, asserted
 // by a round-trip test so the next column addition is a conscious diff
 // (writeGroupCSV indexes records positionally against it).
@@ -214,33 +189,6 @@ func writeGroupCSV(cw *csv.Writer, g Group, record []string) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV writes the result in long form, one row per
-// (group, round, metric):
-//
-//	graph,scheme,rounder,runtime,speeds,workload,environment,scenario,policy,beta,replicates,switches,round,metric,mean,std,min,max
-//
-// switches is the per-replicate scheme-switch count joined with "|" (empty
-// when no policy is set). Rows go through encoding/csv, so spec fields
-// containing commas (environment and scenario specs always do) or quotes or
-// newlines are quoted per RFC 4180 instead of silently corrupting the row,
-// and the output round-trips through any CSV reader. For grids too large to
-// aggregate in memory, StreamCSV produces byte-identical output
-// incrementally.
-func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	record := make([]string, len(csvHeader))
-	for _, g := range r.Groups {
-		if err := writeGroupCSV(cw, g, record); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteTable renders each group as an aligned text table of mean±std per

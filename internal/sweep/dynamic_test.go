@@ -28,14 +28,7 @@ func TestWorkloadAxisDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.Bytes())
+		outputs = append(outputs, resultJSON(t, res))
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {
 		t.Fatal("workload sweep output differs across worker counts")
@@ -106,7 +99,7 @@ func TestWorkloadSpecValidatedUpfront(t *testing.T) {
 
 // TestWriteCSVRoundTripsSpecialFields: spec fields containing commas or
 // quotes must survive a write/parse round trip instead of corrupting the
-// row — the reason WriteCSV goes through encoding/csv.
+// row — the reason the CSV rows go through encoding/csv.
 func TestWriteCSVRoundTripsSpecialFields(t *testing.T) {
 	res := &Result{Groups: []Group{{
 		Graph:       `custom:4,5`,
@@ -128,11 +121,7 @@ func TestWriteCSVRoundTripsSpecialFields(t *testing.T) {
 			Min: []float64{1, 1.5}, Max: []float64{1, 2.5},
 		}},
 	}}}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
+	rows, err := csv.NewReader(bytes.NewReader(resultCSV(t, res))).ReadAll()
 	if err != nil {
 		t.Fatalf("written CSV does not parse back: %v", err)
 	}
@@ -191,14 +180,7 @@ func TestEnvironmentsAxis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.Bytes())
+		outputs = append(outputs, resultJSON(t, res))
 		results = append(results, res)
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {
@@ -323,14 +305,7 @@ func TestScenariosAxis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.Bytes())
+		outputs = append(outputs, resultJSON(t, res))
 		results = append(results, res)
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {

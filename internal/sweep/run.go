@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/randx"
@@ -21,58 +19,33 @@ const (
 	seedSaltScenario = 0x7363_656e_6100_0001 // "scena"
 )
 
-// Options configures Run.
+// Options configures a sweep run.
 type Options struct {
 	// Workers bounds cell-level concurrency; see Workers().
 	Workers int
-	// OnCell, when set, is called after each finished cell with the number
-	// of completed cells and the total (progress reporting). It may be
-	// called concurrently.
-	OnCell func(done, total int)
 	// Telemetry, when set, receives live sweep progress: total/completed
-	// cell gauges, worker utilization, and — from the streaming sinks —
-	// one trace event per flushed aggregation group. Write-only: sweep
+	// cell gauges, worker utilization, and one trace event per
+	// aggregation group as the engine hands it on. Write-only: sweep
 	// output stays byte-identical with or without a probe.
 	Telemetry *telemetry.SweepProbe
 }
 
-// Run expands the spec, executes every cell on the worker pool and
-// aggregates replicates. The output is bitwise identical for every worker
-// count because cell seeds and collection order depend only on the spec.
+// Run runs the sweep and collects its aggregated groups, in group-index
+// order, into a Result. The output is bitwise identical for every worker
+// count because cell seeds and aggregation order depend only on the spec.
 func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	cells := spec.Expand()
-
-	systems, err := buildSystems(ctx, spec, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	series := make([]*sim.Series, len(cells))
-	switches := make([][]core.SwitchEvent, len(cells))
-	var done atomic.Int64
-	opts.Telemetry.Begin(len(cells))
-	err = Map(ctx, opts.Workers, len(cells), func(ctx context.Context, i int) error {
-		opts.Telemetry.CellStart()
-		s, sw, err := runCell(spec, cells[i], systems[sysKey{cells[i].graphIdx, cells[i].speedsIdx}])
-		if err != nil {
-			return fmt.Errorf("sweep: cell %d (%s %s %s): %w", i, cells[i].Graph, cells[i].Scheme, cells[i].Rounder, err)
-		}
-		series[i], switches[i] = s, sw
-		n := int(done.Add(1))
-		opts.Telemetry.CellDone(n, len(cells))
-		if opts.OnCell != nil {
-			opts.OnCell(n, len(cells))
-		}
+	res := &Result{}
+	err := streamGroups(ctx, spec, opts, func(spec Spec) error {
+		res.Spec = spec
+		return nil
+	}, func(g Group) error {
+		res.Groups = append(res.Groups, g)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return aggregate(spec, cells, series, switches, systems)
+	return res, nil
 }
 
 // sysKey identifies one prebuilt system: a graph axis entry paired with a

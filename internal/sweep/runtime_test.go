@@ -108,11 +108,7 @@ func TestStalenessDiscrepancySweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.String())
+		outputs = append(outputs, string(resultJSON(t, res)))
 
 		if workers == 1 {
 			// The fixture's substance: every (scheme, staleness) coordinate
@@ -142,26 +138,23 @@ func TestStalenessDiscrepancySweep(t *testing.T) {
 	}
 }
 
-// TestStreamCSVWithRuntimes: the streaming sink renders runtime cells
-// byte-identically to the in-memory path (the runtime column rides the
-// shared writeGroupCSV).
+// TestStreamCSVWithRuntimes: StreamCSV renders runtime cells exactly as
+// Run collects them, for every worker count (the runtime column rides
+// writeGroupCSV).
 func TestStreamCSVWithRuntimes(t *testing.T) {
 	spec := runtimeSpec()
 	res, err := Run(context.Background(), spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := res.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := resultCSV(t, res)
 	for _, workers := range []int{1, 3} {
 		var got bytes.Buffer
 		if err := StreamCSV(context.Background(), spec, Options{Workers: workers}, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("StreamCSV (workers=%d) differs from Run+WriteCSV", workers)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("StreamCSV (workers=%d) differs from Run's groups", workers)
 		}
 	}
 }

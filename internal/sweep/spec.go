@@ -11,10 +11,10 @@ import (
 // Spec describes a grid of independent simulation cells as the cross
 // product of its axes. Axis values use the same textual syntax as the lbsim
 // CLI (graph.FromSpec, hetero.SpeedsFromSpec, core.RounderByName). Every
-// cell is one sim.RunSpec, and Run, StreamCSV and StreamJSON validate the
-// spec before any cell runs or any byte is written: each expanded cell
-// must pass sim.RunSpec.Validate, and each (graph, speeds) system must
-// build.
+// cell is one sim.RunSpec. Run, StreamCSV and StreamJSON share one engine,
+// which validates the spec before any cell runs or any byte is written:
+// each expanded cell must pass sim.RunSpec.Validate, and each (graph,
+// speeds) system must build.
 type Spec struct {
 	// Graphs lists graph specs, e.g. "torus2d:64x64", "hypercube:10".
 	Graphs []string `json:"graphs"`
@@ -71,7 +71,7 @@ type Spec struct {
 	// under different labels.
 	Betas []float64 `json:"betas,omitempty"`
 	// Replicates is the number of independently seeded runs per cell
-	// coordinate (default 1).
+	// coordinate (0 = the default 1; negative is rejected).
 	Replicates int `json:"replicates"`
 	// Rounds is the per-cell round budget. Required.
 	Rounds int `json:"rounds"`
@@ -115,7 +115,7 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Betas) == 0 {
 		s.Betas = []float64{0}
 	}
-	if s.Replicates <= 0 {
+	if s.Replicates == 0 {
 		s.Replicates = 1
 	}
 	if s.Every <= 0 {
@@ -134,9 +134,10 @@ func (s Spec) withDefaults() Spec {
 }
 
 // validate rejects a malformed spec before any cell runs: the spec needs a
-// graph, a scheme and a round budget, and every expanded cell must pass
-// sim.RunSpec.Validate. Graph and speeds specs are checked when their
-// systems are built, which is still before any cell runs.
+// graph, a scheme, a round budget and a non-negative replicate count, and
+// every expanded cell must pass sim.RunSpec.Validate. Graph and speeds
+// specs are checked when their systems are built, which is still before
+// any cell runs.
 func (s Spec) validate() error {
 	if len(s.Graphs) == 0 {
 		return fmt.Errorf("sweep: spec needs at least one graph")
@@ -146,6 +147,9 @@ func (s Spec) validate() error {
 	}
 	if s.Rounds <= 0 {
 		return fmt.Errorf("sweep: spec needs Rounds > 0, got %d", s.Rounds)
+	}
+	if s.Replicates < 0 {
+		return fmt.Errorf("sweep: spec needs Replicates >= 0, got %d", s.Replicates)
 	}
 	for _, c := range s.Expand() {
 		if err := cellSpec(s, c).Validate(); err != nil {
@@ -192,7 +196,7 @@ type Cell struct {
 // replicate index innermost so one group occupies a contiguous index range.
 func (s Spec) Expand() []Cell {
 	s = s.withDefaults()
-	cells := make([]Cell, 0, len(s.Graphs)*len(s.Schemes)*len(s.Rounders)*len(s.Runtimes)*len(s.Speeds)*len(s.Workloads)*len(s.Environments)*len(s.Scenarios)*len(s.Policies)*len(s.Betas)*s.Replicates)
+	var cells []Cell
 	group := 0
 	fosBetas := []float64{0}
 	for gi, g := range s.Graphs {
@@ -246,17 +250,7 @@ func (s Spec) Expand() []Cell {
 	return cells
 }
 
-// NumCells reports how many cells the spec expands to (the β axis only
-// applies to SOS schemes).
+// NumCells reports how many cells the spec expands to.
 func (s Spec) NumCells() int {
-	s = s.withDefaults()
-	perGraph := 0
-	for _, sc := range s.Schemes {
-		nb := len(s.Betas)
-		if kind, err := sim.ParseScheme(sc); err == nil && kind == core.FOS {
-			nb = 1
-		}
-		perGraph += nb * len(s.Rounders) * len(s.Runtimes) * len(s.Speeds) * len(s.Workloads) * len(s.Environments) * len(s.Scenarios) * len(s.Policies) * s.Replicates
-	}
-	return len(s.Graphs) * perGraph
+	return len(s.Expand())
 }

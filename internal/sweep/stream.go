@@ -10,106 +10,104 @@ import (
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/sim"
-	"diffusionlb/internal/telemetry"
 )
 
-// StreamCSV runs the sweep like Run but writes the CSV rows incrementally:
-// each aggregation group is collapsed and flushed to w as soon as its last
-// replicate finishes, instead of accumulating the whole grid in memory —
-// the ROADMAP scale path for grids too large for Result. Output is
-// byte-identical to Run(...).WriteCSV(w) for every worker count: groups
-// share the aggregation and row-rendering code with the in-memory writer,
-// and are emitted in group-index order (a completed group waits, buffered,
-// until every earlier group has been written, so peak memory is bounded by
-// the scheduling skew across workers rather than by the grid size).
+// StreamCSV runs the sweep and writes it in long form, one row per
+// (group, round, metric):
+//
+//	graph,scheme,rounder,runtime,speeds,workload,environment,scenario,policy,beta,replicates,switches,round,metric,mean,std,min,max
+//
+// switches is the per-replicate scheme-switch count joined with "|" (empty
+// when no policy is set). Rows go through encoding/csv, so spec fields
+// containing commas (environment and scenario specs always do) or quotes or
+// newlines are quoted per RFC 4180 instead of silently corrupting the row,
+// and the output round-trips through any CSV reader.
+//
+// Each group's rows are written and flushed to w as soon as the group and
+// every earlier one are complete, so the grid never resides in memory and
+// a sweep that fails leaves w ending on a group boundary: the header and
+// every group before the first one that failed. The output is the same for
+// every worker count.
 func StreamCSV(ctx context.Context, spec Spec, opts Options, w io.Writer) error {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
-		return err
-	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
 	record := make([]string, len(csvHeader))
-	if err := streamGroups(ctx, spec, opts, func(g Group) error {
-		return writeGroupCSV(cw, g, record)
-	}); err != nil {
+	err := streamGroups(ctx, spec, opts, func(Spec) error {
+		return cw.Write(csvHeader)
+	}, func(g Group) error {
+		if err := writeGroupCSV(cw, g, record); err != nil {
+			return err
+		}
+		cw.Flush()
+		return cw.Error()
+	})
+	// Every group flushed itself, so only the header can still be
+	// buffered here.
+	cw.Flush()
+	if err != nil {
 		return err
 	}
-	cw.Flush()
 	return cw.Error()
 }
 
 // StreamJSON is the JSON twin of StreamCSV: it runs the sweep and writes
-// the aggregated result incrementally, byte-identical to
-// Run(...).WriteJSON(w) for every worker count. The document structure
-// (spec first, then the groups array) is reproduced around per-group
-// json.MarshalIndent calls, so each group's bytes are rendered by the same
-// encoder the in-memory writer uses and the whole grid never resides in
-// memory at once.
+// the document encoding/json renders for its Result (spec first, then the
+// groups array, two-space indentation), one group at a time. Each group is
+// rendered by json.MarshalIndent with its resident indentation as the
+// prefix, so the whole grid never resides in memory. A sweep that fails
+// leaves w holding the spec and every group before the first one that
+// failed, without the closing brackets.
 func StreamJSON(ctx context.Context, spec Spec, opts Options, w io.Writer) error {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	// The composite document mirrors json.Encoder with SetIndent("", "  ")
-	// applied to Result{Spec, Groups}: nested values are rendered by
-	// MarshalIndent with their resident indentation as the prefix.
-	specJSON, err := json.MarshalIndent(spec, "  ", "  ")
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "{\n  \"spec\": %s,\n  \"groups\": ", specJSON); err != nil {
-		return err
-	}
-	emitted := false
-	if err := streamGroups(ctx, spec, opts, func(g Group) error {
-		sep := ",\n    "
-		if !emitted {
-			sep = "[\n    "
-			emitted = true
+	sep := ""
+	err := streamGroups(ctx, spec, opts, func(spec Spec) error {
+		specJSON, err := json.MarshalIndent(spec, "  ", "  ")
+		if err != nil {
+			return err
 		}
+		_, err = fmt.Fprintf(w, "{\n  \"spec\": %s,\n  \"groups\": [", specJSON)
+		return err
+	}, func(g Group) error {
 		groupJSON, err := json.MarshalIndent(g, "    ", "  ")
 		if err != nil {
 			return err
 		}
-		if _, err := io.WriteString(w, sep); err != nil {
+		if _, err := io.WriteString(w, sep+"\n    "); err != nil {
 			return err
 		}
+		sep = ","
 		_, err = w.Write(groupJSON)
 		return err
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	// A nil Groups slice encodes as null; Run always aggregates at least
-	// one group, but the closer keeps the two writers structurally equal
-	// either way.
-	closer := "\n  ]\n}\n"
-	if !emitted {
-		closer = "null\n}\n"
-	}
-	_, err = io.WriteString(w, closer)
+	_, err = io.WriteString(w, "\n  ]\n}\n")
 	return err
 }
 
-// streamGroups expands the (already defaulted and validated) spec, runs
-// every cell on the worker pool and hands each aggregated group to emit in
-// group-index order — the shared engine behind the streaming sinks. emit is
-// never called concurrently; groups finishing ahead of an earlier,
-// still-running one buffer until the gap closes.
-func streamGroups(ctx context.Context, spec Spec, opts Options, emit func(Group) error) error {
+// streamGroups is the sweep engine behind Run, StreamCSV and StreamJSON. It
+// defaults and validates the spec and builds every (graph, speeds) system,
+// then hands the defaulted spec to begin, runs every cell on the worker
+// pool and hands each aggregated group to emit in group-index order.
+// Neither callback runs unless the spec is valid and every system builds.
+// emit is never called concurrently; groups finishing ahead of an earlier,
+// still-running one wait, buffered, until the gap closes, so peak memory is
+// bounded by the scheduling skew across workers rather than by the grid
+// size. A group with a failed cell is never emitted, nor is any group after
+// it.
+func streamGroups(ctx context.Context, spec Spec, opts Options, begin func(Spec) error, emit func(Group) error) error {
+	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return err
+	}
 	cells := spec.Expand()
 	systems, err := buildSystems(ctx, spec, opts.Workers)
 	if err != nil {
 		return err
 	}
-
-	sink := &groupSink{
-		emit:    emit,
-		tel:     opts.Telemetry,
-		pending: make(map[int]Group, 4),
+	if err := begin(spec); err != nil {
+		return err
 	}
+
 	opts.Telemetry.Begin(len(cells))
 	// Per-group replicate collection. Replicates of one group occupy a
 	// contiguous cell range, so group g collects cells
@@ -128,6 +126,10 @@ func streamGroups(ctx context.Context, spec Spec, opts Options, emit func(Group)
 			remaining: spec.Replicates,
 		}
 	}
+	// Completed groups wait in pending until every group before them has
+	// been emitted; next is the first group not yet emitted.
+	pending := make(map[int]Group, 4)
+	next := 0
 	var mu sync.Mutex
 	var done int
 
@@ -152,46 +154,18 @@ func streamGroups(ctx context.Context, spec Spec, opts Options, emit func(Group)
 			if err != nil {
 				return err
 			}
-			if err := sink.push(c.Group, g); err != nil {
-				return err
+			pending[c.Group] = g
+			for ready, ok := pending[next]; ok; ready, ok = pending[next] {
+				delete(pending, next)
+				if err := emit(ready); err != nil {
+					return err
+				}
+				opts.Telemetry.GroupFlushed(next)
+				next++
 			}
 		}
 		done++
 		opts.Telemetry.CellDone(done, len(cells))
-		if opts.OnCell != nil {
-			opts.OnCell(done, len(cells))
-		}
 		return nil
 	})
-}
-
-// groupSink delivers completed groups to emit in group-index order,
-// buffering groups that finish ahead of an earlier, still-running one.
-// Callers serialize access (streamGroups holds its collection mutex around
-// push).
-type groupSink struct {
-	emit    func(Group) error
-	tel     *telemetry.SweepProbe
-	next    int
-	pending map[int]Group
-}
-
-// push hands over a completed group; it emits every consecutively
-// available group starting at next, recording one progress trace event
-// per flushed group — the live signal StreamCSV/StreamJSON previously
-// lacked while a slow cell ran.
-func (s *groupSink) push(idx int, g Group) error {
-	s.pending[idx] = g
-	for {
-		gg, ok := s.pending[s.next]
-		if !ok {
-			return nil
-		}
-		delete(s.pending, s.next)
-		if err := s.emit(gg); err != nil {
-			return err
-		}
-		s.tel.GroupFlushed(s.next)
-		s.next++
-	}
 }

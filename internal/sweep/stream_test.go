@@ -25,9 +25,8 @@ func streamSpec() Spec {
 	}
 }
 
-// TestStreamCSVByteIdentical pins the satellite contract: the streaming
-// sink produces byte-identical output to the in-memory writer, for every
-// worker count.
+// TestStreamCSVByteIdentical: StreamCSV writes exactly the groups Run
+// collects, for every worker count.
 func TestStreamCSVByteIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -36,33 +35,22 @@ func TestStreamCSVByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := res.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := resultCSV(t, res)
 	for _, workers := range []int{1, 4, 8} {
 		var got bytes.Buffer
-		var cellsDone int
-		err := StreamCSV(context.Background(), spec, Options{
-			Workers: workers,
-			OnCell:  func(done, total int) { cellsDone = done },
-		}, &got)
-		if err != nil {
+		if err := StreamCSV(context.Background(), spec, Options{Workers: workers}, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("workers=%d: StreamCSV output differs from WriteCSV (%d vs %d bytes)",
-				workers, got.Len(), want.Len())
-		}
-		if cellsDone != spec.NumCells() {
-			t.Errorf("workers=%d: OnCell reported %d cells, want %d", workers, cellsDone, spec.NumCells())
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("workers=%d: StreamCSV output differs from Run's groups (%d vs %d bytes)",
+				workers, got.Len(), len(want))
 		}
 	}
 }
 
-// TestStreamJSONByteIdentical pins the JSON twin's contract: the streaming
-// sink produces byte-identical output to Run(...).WriteJSON, for every
-// worker count — same indentation, same group order, same trailing newline.
+// TestStreamJSONByteIdentical: StreamJSON writes, byte for byte, the
+// document encoding/json renders for Run's Result, for every worker count —
+// same indentation, same group order, same trailing newline.
 func TestStreamJSONByteIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -71,26 +59,15 @@ func TestStreamJSONByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := res.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := resultJSON(t, res)
 	for _, workers := range []int{1, 4, 8} {
 		var got bytes.Buffer
-		var cellsDone int
-		err := StreamJSON(context.Background(), spec, Options{
-			Workers: workers,
-			OnCell:  func(done, total int) { cellsDone = done },
-		}, &got)
-		if err != nil {
+		if err := StreamJSON(context.Background(), spec, Options{Workers: workers}, &got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("workers=%d: StreamJSON output differs from WriteJSON (%d vs %d bytes)",
-				workers, got.Len(), want.Len())
-		}
-		if cellsDone != spec.NumCells() {
-			t.Errorf("workers=%d: OnCell reported %d cells, want %d", workers, cellsDone, spec.NumCells())
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("workers=%d: StreamJSON output differs from encoding/json (%d vs %d bytes)",
+				workers, got.Len(), len(want))
 		}
 	}
 }
@@ -139,12 +116,8 @@ func TestCSVHeaderRoundTrip(t *testing.T) {
 		Rounds:    20,
 		Every:     10,
 	}
-	res, err := Run(context.Background(), spec, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := StreamCSV(context.Background(), spec, Options{Workers: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -3,14 +3,17 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"diffusionlb/internal/telemetry"
 )
 
 // withProcs raises GOMAXPROCS so the pool genuinely fans out even on
@@ -19,6 +22,41 @@ func withProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// resultJSON renders res with encoding/json at two-space indentation: the
+// document StreamJSON writes for the same sweep.
+func resultJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resultCSV renders res's groups through the row writer StreamCSV uses:
+// the bytes StreamCSV writes for the same sweep.
+func resultCSV(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(csvHeader); err != nil {
+		t.Fatal(err)
+	}
+	record := make([]string, len(csvHeader))
+	for _, g := range res.Groups {
+		if err := writeGroupCSV(cw, g, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func testSpec() Spec {
@@ -119,6 +157,8 @@ func TestSpecValidation(t *testing.T) {
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Betas: []float64{2}},
 		// A malformed policy must fail validation before any cell runs.
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Policies: []string{"warp:9"}},
+		// 0 replicates means the default 1; a negative count is a typo.
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Replicates: -3},
 	}
 	for i, s := range bad {
 		if _, err := Run(context.Background(), s, Options{}); err == nil {
@@ -155,11 +195,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.Bytes())
+		outputs = append(outputs, resultJSON(t, res))
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) || !bytes.Equal(outputs[0], outputs[2]) {
 		t.Fatal("aggregated output differs across worker counts")
@@ -204,19 +240,42 @@ func TestReplicatesActuallyVary(t *testing.T) {
 	}
 }
 
+// TestCancellationMidSweep: a cancel from inside the first job stops the
+// pool from dispatching further jobs, and a sweep on a cancelled context
+// runs no cell; both surface as context.Canceled.
 func TestCancellationMidSweep(t *testing.T) {
 	withProcs(t, 4)
-	spec := testSpec()
-	spec.Replicates = 16
-	spec.Rounds = 400
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		err := Map(ctx, workers, 100, func(ctx context.Context, i int) error {
+			ran.Add(1)
+			if i == 0 {
+				cancel()
+			}
+			// Jobs dispatched before the cancel hold their worker until
+			// it lands, so no worker can race through the queue.
+			<-ctx.Done()
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Map after a mid-run cancel = %v, want context.Canceled", workers, err)
+		}
+		if got := ran.Load(); got > int64(workers) {
+			t.Errorf("workers=%d: %d jobs ran after the first job cancelled, want at most one per worker", workers, got)
+		}
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	_, err := Run(ctx, spec, Options{
-		Workers: 4,
-		OnCell:  func(done, total int) { once.Do(cancel) },
-	})
+	cancel()
+	tr := telemetry.NewTrace(64)
+	_, err := Run(ctx, testSpec(), Options{Workers: 4, Telemetry: telemetry.NewSweepProbe(telemetry.NewRegistry(), tr)})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run after mid-sweep cancel = %v, want context.Canceled", err)
+		t.Fatalf("Run on a cancelled context = %v, want context.Canceled", err)
+	}
+	if got := countKinds(tr)[telemetry.EvSweepCell]; got != 0 {
+		t.Errorf("%d cells ran on a cancelled context", got)
 	}
 }
 
@@ -303,16 +362,16 @@ func TestOutputsWellFormed(t *testing.T) {
 		}
 	}
 
-	var csv bytes.Buffer
-	if err := res.WriteCSV(&csv); err != nil {
+	var rows bytes.Buffer
+	if err := StreamCSV(context.Background(), spec, Options{Workers: 1}, &rows); err != nil {
 		t.Fatal(err)
 	}
-	head := strings.SplitN(csv.String(), "\n", 2)[0]
+	head := strings.SplitN(rows.String(), "\n", 2)[0]
 	if head != strings.Join(csvHeader, ",") {
 		t.Errorf("CSV header = %q", head)
 	}
-	if !strings.Contains(csv.String(), "torus2d:8x8,sos,randomized,,,,,,") {
-		t.Errorf("CSV missing group rows:\n%s", csv.String())
+	if !strings.Contains(rows.String(), "torus2d:8x8,sos,randomized,,,,,,") {
+		t.Errorf("CSV missing group rows:\n%s", rows.String())
 	}
 
 	var table bytes.Buffer

@@ -18,9 +18,9 @@ func countKinds(tr *telemetry.Trace) map[telemetry.EventKind]int {
 	return out
 }
 
-// TestStreamTelemetryGroupEvents pins the streaming-progress fix: both
-// streaming sinks emit exactly one EvSweepGroup per aggregation group and
-// one EvSweepCell per cell, for every worker count.
+// TestStreamTelemetryGroupEvents: both streams emit exactly one
+// EvSweepGroup per aggregation group and one EvSweepCell per cell, for
+// every worker count.
 func TestStreamTelemetryGroupEvents(t *testing.T) {
 	spec := streamSpec()
 	numCells := spec.NumCells()
@@ -88,21 +88,24 @@ func TestStreamTelemetryGroupEvents(t *testing.T) {
 	}
 }
 
-// TestRunTelemetryCellProgress: the in-memory Run reports the same cell
-// progress through a probe as through OnCell.
+// TestRunTelemetryCellProgress: Run goes through the same engine as the
+// streams, so it records one cell event per cell and one group event per
+// group.
 func TestRunTelemetryCellProgress(t *testing.T) {
 	spec := streamSpec()
+	numCells := spec.NumCells()
+	numGroups := numCells / spec.Replicates
 	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTrace(4 * spec.NumCells())
+	tr := telemetry.NewTrace(4 * (numCells + numGroups))
 	probe := telemetry.NewSweepProbe(reg, tr)
 	if _, err := Run(context.Background(), spec, Options{Workers: 4, Telemetry: probe}); err != nil {
 		t.Fatal(err)
 	}
 	kinds := countKinds(tr)
-	if got := kinds[telemetry.EvSweepCell]; got != spec.NumCells() {
-		t.Errorf("%d cell events, want %d", got, spec.NumCells())
+	if got := kinds[telemetry.EvSweepCell]; got != numCells {
+		t.Errorf("%d cell events, want %d", got, numCells)
 	}
-	if got := kinds[telemetry.EvSweepGroup]; got != 0 {
-		t.Errorf("%d group events from in-memory Run, want 0 (no streaming sink)", got)
+	if got := kinds[telemetry.EvSweepGroup]; got != numGroups {
+		t.Errorf("%d group events from Run, want %d", got, numGroups)
 	}
 }

@@ -204,8 +204,8 @@ func (p *ActorProbe) Restore(round, actors int) {
 	p.trace.Emit(EvRestore, round, actors, 0, 0)
 }
 
-// SweepProbe instruments a parameter sweep: live cell progress, streamed
-// group flushes, and worker utilization.
+// SweepProbe instruments a parameter sweep: live cell progress, completed
+// groups, and worker utilization.
 type SweepProbe struct {
 	trace *Trace
 
@@ -227,7 +227,7 @@ func NewSweepProbe(r *Registry, t *Trace) *SweepProbe {
 		cellsDone: r.Counter("diffusionlb_sweep_cells_completed_total",
 			"Sweep cells completed."),
 		groups: r.Counter("diffusionlb_sweep_groups_flushed_total",
-			"Aggregation groups flushed by streaming sinks."),
+			"Aggregation groups completed and handed on by the sweep engine."),
 		workersBusy: r.Gauge("diffusionlb_sweep_workers_busy",
 			"Sweep workers currently executing a cell."),
 	}
@@ -259,7 +259,7 @@ func (p *SweepProbe) CellDone(done, total int) {
 	p.trace.Emit(EvSweepCell, 0, done, total, 0)
 }
 
-// GroupFlushed records one aggregation group emitted by a streaming sink.
+// GroupFlushed records one aggregation group the sweep engine handed on.
 func (p *SweepProbe) GroupFlushed(group int) {
 	if p == nil {
 		return

@@ -46,8 +46,8 @@ const (
 	// EvSweepCell marks one completed sweep cell; A is the completed count,
 	// B the total.
 	EvSweepCell
-	// EvSweepGroup marks one aggregation group flushed by a streaming sink;
-	// A is the group index.
+	// EvSweepGroup marks one aggregation group the sweep engine handed on,
+	// in group-index order; A is the group index.
 	EvSweepGroup
 )
 
