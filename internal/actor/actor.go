@@ -34,7 +34,7 @@
 //
 // Modes. With Options.Stale == 0 (barrier) every message is consumed in
 // the round it was produced: a logical round barrier, bit-identical to the
-// fused shard.Run kernels. With Stale == S > 0 (bounded staleness) each
+// fused Layout.Run kernels. With Stale == S > 0 (bounded staleness) each
 // link draws a deterministic lag L ∈ {0..S} per round from the master seed
 // (randx.Mix — a seeded counter stream, never wall-clock races), and the
 // receiving actor uses z version t−L and applies flux through version t−L:
@@ -52,7 +52,6 @@ package actor
 
 import (
 	"fmt"
-	"sync"
 
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/randx"
@@ -89,10 +88,6 @@ type Runtime struct {
 
 	act   []actorState
 	links []*link
-
-	// stepFn is bound once at construction so Step does not rebuild a
-	// closure.
-	stepFn func(a int)
 
 	// tel, when attached, receives per-actor round latencies, boundary
 	// message counts with realized lags, and the in-flight load gauge.
@@ -138,33 +133,7 @@ func New(op *spectral.Operator, kind core.Kind, beta float64, rounder core.Round
 	if r.discrete, r.halo, err = core.NewHalo(cfg, rounder, seed, initial, heads, mates, ghosts); err != nil {
 		return nil, err
 	}
-	r.stepFn = func(a int) { r.act[a].step() }
 	return r, nil
-}
-
-// Run executes body(a) for every actor concurrently — the runtime's only
-// goroutine fan-out point, blessed by the goroutineleak analyzer alongside
-// shard.Run. Unlike shard.Run's capped work stealing, every actor MUST get
-// its own goroutine: the step protocol's blocking channel receives
-// synchronize neighbors against each other, so all actors have to be live
-// within a round (the Go scheduler multiplexes them onto however many
-// cores exist — GOMAXPROCS changes scheduling, never results). A single
-// actor runs inline with no goroutines and no channels.
-func (r *Runtime) Run(body func(a int)) {
-	k := len(r.act)
-	if k == 1 {
-		body(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		go func(a int) {
-			defer wg.Done()
-			body(a)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // step runs one logical round of this actor: the engine's passes on the
@@ -242,6 +211,8 @@ func (a *actorState) step() {
 	sw.Stop()
 }
 
+func stepActor(act []actorState, a int) { act[a].step() }
+
 // lagOf draws the link's staleness lag for round t: a deterministic
 // function of (seed, link, round), so async interleavings replay exactly —
 // staleness is data the schedule selects, never a wall-clock race. Barrier
@@ -263,9 +234,15 @@ func (a *actorState) lagOf(l *link, t int) int {
 // synchronized against each other purely by the link channels, and the
 // engine folds the per-shard reduction slots in shard order (bit-stable
 // for every GOMAXPROCS).
+//
+// The actors run through shard.Run with one worker per actor and no
+// GOMAXPROCS cap: the step protocol's blocking receives synchronize
+// neighbors against each other, so every actor must be live within a round
+// (the Go scheduler multiplexes them onto however many cores exist). A
+// single actor runs inline with no goroutines and no channels.
 func (r *Runtime) Step() {
 	r.halo.Begin()
-	r.Run(r.stepFn)
+	shard.Run(len(r.act), len(r.act), r.act, stepActor)
 	r.halo.End()
 	if r.tel != nil {
 		r.tel.SetInFlight(float64(r.InFlightLoad()))

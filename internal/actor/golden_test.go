@@ -3,6 +3,7 @@ package actor_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"diffusionlb/internal/actor"
@@ -211,6 +212,15 @@ func TestGoldenActorBarrierMatchesDiscrete(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGoldenActorBarrierOneP runs the barrier equivalence once on one P:
+// the actors of a round block on each other's messages, so all of them
+// must be live at once even when only one can run, and a fan-out that
+// leaves an actor unclaimed deadlocks here instead of in a user's run.
+func TestGoldenActorBarrierOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	TestGoldenActorBarrierMatchesDiscrete(t)
 }
 
 // TestGoldenActorHomogeneousMatchesDiscrete covers the homogeneous fast

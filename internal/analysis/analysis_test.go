@@ -65,13 +65,6 @@ func TestGoroutineLeakFixture(t *testing.T) {
 	driver.RunFixture(t, loader(t), fixture("goroutineleak"), analysis.GoroutineLeak)
 }
 
-// TestGoroutineLeakActorFixture pins the actor-runtime blessing: Run in a
-// blessed package spawns freely (done-channel join), while helpers in the
-// same package stay bound by the contract.
-func TestGoroutineLeakActorFixture(t *testing.T) {
-	driver.RunFixture(t, loader(t), fixture("goroutineleak/actorrun"), analysis.GoroutineLeak)
-}
-
 // TestSpecRoundtripBadFixture is the failing fixture: a parser whose result
 // type lacks Name() in a package with no fuzz target.
 func TestSpecRoundtripBadFixture(t *testing.T) {

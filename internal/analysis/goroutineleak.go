@@ -7,46 +7,36 @@ import (
 )
 
 // GoroutineLeak requires every go statement in engine code to either live
-// inside a blessed fan-out primitive — shard.Run, whose WaitGroup joins
-// every goroutine before returning, or actor.Run, whose per-step actor
-// goroutines all signal a done channel the caller drains before returning
-// (parallelFor, their predecessor, stays blessed for the fixture corpus) —
-// or run inside a function that carries a context.Context parameter,
-// making cancellation explicit.
+// inside the blessed fan-out primitive — shard.Run, whose WaitGroup joins
+// every goroutine before returning, and through which the engines' shard
+// passes, the actor runtime's actors and the sweep's cells all fan out — or
+// run inside a function that carries a context.Context parameter, making
+// cancellation explicit.
 //
 // A bare goroutine in engine code has no join and no cancellation path: it
 // outlives the round that spawned it, keeps writing into buffers the next
 // round reuses, and turns a deterministic lockstep simulation into a racy
-// one. The allowed shapes are exactly the ones the sweep pool
-// (context-cancellable workers), the per-step shard.Run and the actor
-// runtime's Run use today.
+// one.
 var GoroutineLeak = &driver.Analyzer{
 	Name: "goroutineleak",
-	Doc: "go statements in engine code must flow through shard.Run or actor.Run, " +
+	Doc: "go statements in engine code must flow through shard.Run " +
 		"or run in a function carrying a context.Context parameter",
 	Run: runGoroutineLeak,
 }
 
-// blessedFanOutPackages are the packages whose Run is an allowed fan-out
-// primitive: the shard layout's Run (WaitGroup join before return) and the
-// actor runtime's Run (every spawned actor goroutine reports to a done
-// channel the step loop drains). A Run anywhere else is an ordinary
-// function — naming a helper Run does not buy a spawn license. The
-// testdata suffix lets the passing fixture exercise the actor blessing.
+// blessedFanOutPackages are the packages whose package-level Run is an
+// allowed fan-out primitive: the shard package's Run, which joins every
+// goroutine it starts before returning. A Run anywhere else, or a method
+// named Run, is an ordinary function — naming a helper Run does not buy a
+// spawn license.
 var blessedFanOutPackages = []string{
 	"diffusionlb/internal/shard",
-	"diffusionlb/internal/actor",
-	"diffusionlb/internal/analysis/testdata/src/goroutineleak/actorrun",
 }
 
-// blessedFanOut reports whether fd is an allowed fan-out primitive: Run in
-// one of the blessed engine packages, or a function literally named
-// parallelFor (the pre-shard primitive, kept for the fixture corpus).
+// blessedFanOut reports whether fd is the allowed fan-out primitive: the
+// package-level Run of a blessed package.
 func blessedFanOut(pass *driver.Pass, fd *ast.FuncDecl) bool {
-	if fd.Name.Name == "parallelFor" {
-		return true
-	}
-	if fd.Name.Name != "Run" {
+	if fd.Name.Name != "Run" || fd.Recv != nil {
 		return false
 	}
 	path := pass.Pkg.Path()

@@ -9,7 +9,7 @@ import (
 )
 
 // ShardSafety proves that the parallel engine kernels never write across
-// shard boundaries. A pass body — any function or literal with the shard.Run
+// shard boundaries. A pass body — any function or literal with the Layout.Run
 // signature (s, lo, hi int) — runs concurrently with every other shard, so a
 // write to a shared slice is only safe when the index is provably inside the
 // shard's own range. The analyzer accepts exactly the ownership shapes the
@@ -67,7 +67,7 @@ func runShardSafety(pass *driver.Pass) error {
 	return nil
 }
 
-// isPassBodyType reports whether ft is the shard.Run pass-body shape:
+// isPassBodyType reports whether ft is the Layout.Run pass-body shape:
 // exactly three int parameters whose last two are named lo and hi.
 func isPassBodyType(pass *driver.Pass, ft *ast.FuncType) bool {
 	if ft.Params == nil {

@@ -39,7 +39,7 @@ import (
 // enginePackages are the deterministic-core packages the strictest
 // contracts bind: everything that executes between a spec and a recorded
 // series. shardsafety binds exactly these — pass bodies only exist where
-// shard.Run is reachable.
+// Layout.Run is reachable.
 var enginePackages = []string{
 	"diffusionlb/internal/shard",
 	"diffusionlb/internal/actor",

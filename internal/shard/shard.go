@@ -13,10 +13,12 @@
 // shard's outputs land in shard-indexed slots and are combined in shard
 // order.
 //
-// Run executes shards with optional work stealing: a fixed shard→result
-// mapping with dynamic shard→goroutine assignment. Stealing changes which
-// worker touches a shard, never what the shard computes, so it is free to
-// use under the determinism contract.
+// Layout.Run executes shards with optional work stealing: a fixed
+// shard→result mapping with dynamic shard→goroutine assignment. Stealing
+// changes which worker touches a shard, never what the shard computes, so
+// it is free to use under the determinism contract. The package-level Run
+// underneath it is the module's one goroutine fan-out, shared with the
+// actor runtime and the sweep.
 package shard
 
 import (
@@ -153,43 +155,69 @@ func (l *Layout) ShardOf(i int) int {
 }
 
 // Run executes body(s, lo, hi) for every shard s with node range [lo, hi),
-// on up to workers goroutines. The shard set and each shard's range are
-// fixed by the layout; workers only bounds concurrency, additionally
-// capped at GOMAXPROCS so a low-core box never oversubscribes — capping
-// live goroutines, unlike capping the shard count, cannot change results.
-//
-// Shards are distributed by work stealing: an atomic cursor hands the next
-// shard index to whichever worker frees up first, so a straggler shard
-// (degree skew, NUMA, preemption) does not idle the rest of the pool.
-// workers <= 1 (or a single shard) runs inline in shard order with no
-// goroutines and no allocations — the steady-state hot path on sequential
-// configurations.
+// on up to workers goroutines through the package-level Run. The shard set
+// and each shard's range are fixed by the layout; workers only bounds
+// concurrency, additionally capped at GOMAXPROCS so a low-core box never
+// oversubscribes — capping live goroutines, unlike capping the shard
+// count, cannot change results. workers <= 1 (or a single shard) runs
+// inline in shard order with no goroutines and no allocations — the
+// steady-state hot path on sequential configurations.
 func (l *Layout) Run(workers int, body func(s, lo, hi int)) {
-	k := l.Shards()
-	if workers > k {
-		workers = k
-	}
 	if m := runtime.GOMAXPROCS(0); workers > m {
 		workers = m
 	}
-	if workers <= 1 || k == 1 {
-		for s := 0; s < k; s++ {
-			body(s, int(l.bounds[s]), int(l.bounds[s+1]))
+	Run(workers, l.Shards(), shardPass{l, body}, runShardPass)
+}
+
+// shardPass binds a pass body to its layout, so Layout.Run hands Run bound
+// state instead of building a closure per call.
+type shardPass struct {
+	l    *Layout
+	body func(s, lo, hi int)
+}
+
+func runShardPass(p shardPass, s int) {
+	p.body(s, int(p.l.bounds[s]), int(p.l.bounds[s+1]))
+}
+
+// Run calls body(arg, i) for every i in [0, n) on up to workers goroutines
+// and returns once every call has returned. It is the module's one
+// goroutine fan-out: the engines' shard passes, the actor runtime's actors
+// and the sweep's cells all start their goroutines here.
+//
+// Indices are handed out by work stealing: an atomic cursor gives the next
+// index, in increasing order, to whichever goroutine frees up first, so a
+// straggler (degree skew, NUMA, preemption) does not idle the rest. Which
+// goroutine runs an index never changes what the index computes. A
+// goroutine exits only once every index is claimed, so with workers >= n
+// bodies that block on each other (the actors' link channels) are all live
+// at once, even on one P. workers <= 1 (or n <= 1) runs inline in index
+// order with no goroutines and no allocations. Run applies no GOMAXPROCS
+// cap of its own; callers that must not oversubscribe cap workers. arg is
+// the caller's bound state, so a caller on the hot path passes a plain
+// function instead of building a closure per call.
+func Run[A any](workers, n int, arg A, body func(A, int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			body(arg, i)
 		}
 		return
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= k {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				body(s, int(l.bounds[s]), int(l.bounds[s+1]))
+				body(arg, i)
 			}
 		}()
 	}

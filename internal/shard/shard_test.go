@@ -122,6 +122,29 @@ func TestRunVisitsEveryNodeOnce(t *testing.T) {
 	}
 }
 
+// TestRunWorkersAtLeastNAllLive pins the contract the actor runtime rests
+// on: with workers >= n every body is live at once, even on one P, so
+// bodies that wait for each other (here a barrier all n must reach)
+// cannot deadlock. It also checks every index runs exactly once.
+func TestRunWorkersAtLeastNAllLive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{0, 1, 2, 7} {
+		ran := make([]int32, n)
+		var met sync.WaitGroup
+		met.Add(n)
+		Run(n, n, ran, func(ran []int32, i int) {
+			met.Done()
+			met.Wait()
+			ran[i]++
+		})
+		for i, c := range ran {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, c)
+			}
+		}
+	}
+}
+
 // TestSumDeterministicAcrossWorkers: the float reduction grouping is fixed
 // by the layout, so the sum is bit-identical for every worker count — the
 // property the invariant checker's conservation pass relies on.

@@ -14,7 +14,8 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"diffusionlb/internal/shard"
 )
 
 // Workers resolves a requested worker count: values <= 0 mean "one worker
@@ -29,67 +30,35 @@ func Workers(requested int) int {
 }
 
 // Map runs fn(ctx, i) for every i in [0, n) on at most Workers(workers)
-// goroutines and blocks until all started jobs finish. Callers communicate
-// results positionally (fn writes results[i]), which keeps output
-// independent of scheduling order.
+// goroutines through shard.Run and blocks until all started jobs finish.
+// Callers communicate results positionally (fn writes results[i]), which
+// keeps output independent of scheduling order.
 //
-// Cancellation: once ctx is done no new index is dispatched; jobs already
-// running finish, and Map returns ctx.Err(). Otherwise Map returns the
-// error of the lowest index that failed (later jobs still run; a sweep is
-// cheap to finish and expensive to re-run).
+// Indices are handed out in increasing order, and no index starts once ctx
+// is done or a lower index has failed: jobs already running finish, the
+// rest are skipped. Map returns ctx.Err() if ctx is done, else the error of
+// the lowest failing index — deterministic, because every index below a
+// failing one was handed out before it and still runs.
 func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		// Inline path: same dispatch rule, no goroutines. This is also the
-		// reference order for the determinism tests.
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if err := fn(ctx, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	var mu sync.Mutex
+	first, firstErr := n, error(nil) // lowest failing index so far, and its error
+	shard.Run(Workers(workers), n, ctx, func(ctx context.Context, i int) {
+		mu.Lock()
+		stop := i > first
+		mu.Unlock()
+		if stop || ctx.Err() != nil {
+			return
 		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return firstErr
-	}
-
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(ctx, i)
+		if err := fn(ctx, i); err != nil {
+			mu.Lock()
+			if i < first {
+				first, firstErr = i, err
 			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+			mu.Unlock()
 		}
+	})
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return nil
+	return firstErr
 }

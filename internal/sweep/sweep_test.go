@@ -6,9 +6,11 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,6 +321,44 @@ func TestMapOrderAndErrors(t *testing.T) {
 	}
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("%d jobs ran under a cancelled context", got)
+	}
+}
+
+// TestMapStopsAfterFailure pins Map's dispatch rule: no index starts once a
+// job has failed, and Map returns the lowest failing index's error even when
+// a higher index fails first. The first `workers` jobs meet at a barrier, so
+// each holds its own goroutine, and every one of them fails: whichever
+// goroutine claims next has seen a failure at a lower index.
+func TestMapStopsAfterFailure(t *testing.T) {
+	withProcs(t, 4)
+	const n = 100
+	for _, workers := range []int{1, 4} {
+		var started [n]atomic.Bool
+		var met sync.WaitGroup
+		met.Add(workers)
+		highFailed := make(chan struct{})
+		err := Map(context.Background(), workers, n, func(_ context.Context, i int) error {
+			started[i].Store(true)
+			if i >= workers {
+				return nil
+			}
+			met.Done()
+			met.Wait()
+			if i == workers-1 {
+				close(highFailed)
+			} else {
+				<-highFailed
+			}
+			return fmt.Errorf("job %d", i)
+		})
+		if err == nil || err.Error() != "job 0" {
+			t.Errorf("workers=%d: Map error = %v, want the lowest failing index's (job 0)", workers, err)
+		}
+		for i := workers; i < n; i++ {
+			if started[i].Load() {
+				t.Errorf("workers=%d: job %d started after jobs 0..%d failed", workers, i, workers-1)
+			}
+		}
 	}
 }
 
