@@ -41,7 +41,7 @@ func probes(reg *telemetry.Registry, tr *telemetry.Trace) {
 	ap.SetInFlight(12)
 	sp := telemetry.NewSweepProbe(reg, tr)
 	sp.Begin(10)
-	sp.CellDone(1, 10)
+	sp.CellDone(1, 10, true)
 	tr.Emit(telemetry.EvRound, 1, 0, 0, 0)
 }
 

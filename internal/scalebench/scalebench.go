@@ -231,11 +231,12 @@ func Run(cfg Config, progress func(string)) (*Result, error) {
 					cfg.Probe.CellStart()
 					e, err := benchMedian(g, kind, rt, tel, cfg)
 					if err != nil {
+						cfg.Probe.CellDone(done, cells, false)
 						return nil, err
 					}
 					res.Entries = append(res.Entries, e)
 					done++
-					cfg.Probe.CellDone(done, cells)
+					cfg.Probe.CellDone(done, cells, true)
 				}
 			}
 		}

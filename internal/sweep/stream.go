@@ -137,11 +137,14 @@ func streamGroups(ctx context.Context, spec Spec, opts Options, begin func(Spec)
 		c := cells[i]
 		opts.Telemetry.CellStart()
 		s, sw, err := runCell(spec, c, systems[sysKey{c.graphIdx, c.speedsIdx}])
-		if err != nil {
-			return fmt.Errorf("sweep: cell %d (%s %s %s): %w", i, c.Graph, c.Scheme, c.Rounder, err)
-		}
 		mu.Lock()
 		defer mu.Unlock()
+		if err != nil {
+			opts.Telemetry.CellDone(done, len(cells), false)
+			return fmt.Errorf("sweep: cell %d (%s %s %s): %w", i, c.Graph, c.Scheme, c.Rounder, err)
+		}
+		done++
+		opts.Telemetry.CellDone(done, len(cells), true)
 		col := &collecting[c.Group]
 		col.series[c.Replicate] = s
 		col.switches[c.Replicate] = sw
@@ -164,8 +167,6 @@ func streamGroups(ctx context.Context, spec Spec, opts Options, begin func(Spec)
 				next++
 			}
 		}
-		done++
-		opts.Telemetry.CellDone(done, len(cells))
 		return nil
 	})
 }

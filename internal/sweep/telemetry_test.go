@@ -109,3 +109,34 @@ func TestRunTelemetryCellProgress(t *testing.T) {
 		t.Errorf("%d group events from Run, want %d", got, numGroups)
 	}
 }
+
+// TestRunTelemetryFailedCell: a failed cell marks its worker idle without
+// counting as completed, and no cell starts after it, so a sweep that
+// fails in its first cell ends with no busy worker and no completed cell.
+func TestRunTelemetryFailedCell(t *testing.T) {
+	spec := Spec{
+		Graphs:    []string{"torus2d:8x8"},
+		Schemes:   []string{"sos"},
+		Workloads: []string{"burst:1:9223372036854775807", ""},
+		Rounds:    20,
+	}
+	reg := telemetry.NewRegistry()
+	tr := telemetry.NewTrace(16)
+	if _, err := Run(context.Background(), spec, Options{Workers: 1, Telemetry: telemetry.NewSweepProbe(reg, tr)}); err == nil {
+		t.Fatal("Run with an overflowing burst succeeded")
+	}
+	snap := telemetry.TakeSnapshot(reg, nil)
+	for _, c := range snap.Counters {
+		if c.Name == "diffusionlb_sweep_cells_completed_total" && c.Value != 0 {
+			t.Errorf("cells counter %v after a sweep that failed in its first cell, want 0", c.Value)
+		}
+	}
+	for _, g := range snap.Gauges {
+		if g.Name == "diffusionlb_sweep_workers_busy" && g.Value != 0 {
+			t.Errorf("busy gauge %v after a failed sweep, want 0", g.Value)
+		}
+	}
+	if got := countKinds(tr)[telemetry.EvSweepCell]; got != 0 {
+		t.Errorf("%d cell events from a sweep that failed in its first cell, want 0", got)
+	}
+}

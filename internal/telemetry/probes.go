@@ -249,12 +249,16 @@ func (p *SweepProbe) CellStart() {
 	p.workersBusy.Add(1)
 }
 
-// CellDone marks one worker idle and records progress (done of total).
-func (p *SweepProbe) CellDone(done, total int) {
+// CellDone marks one worker idle. A cell that completed (ok) also counts
+// as completed and records progress (done of total); a failed one does not.
+func (p *SweepProbe) CellDone(done, total int, ok bool) {
 	if p == nil {
 		return
 	}
 	p.workersBusy.Add(-1)
+	if !ok {
+		return
+	}
 	p.cellsDone.Inc()
 	p.trace.Emit(EvSweepCell, 0, done, total, 0)
 }

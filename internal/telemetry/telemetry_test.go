@@ -86,7 +86,7 @@ func TestNilHandlesNoOp(t *testing.T) {
 	var sp *SweepProbe
 	sp.Begin(10)
 	sp.CellStart()
-	sp.CellDone(1, 10)
+	sp.CellDone(1, 10, true)
 	sp.GroupFlushed(0)
 }
 
