@@ -16,15 +16,16 @@ test-short:
 # lint runs the lbvet analyzer suite (internal/analysis): nodeterminism,
 # floateq, specroundtrip, goroutineleak, shardsafety, hotalloc,
 # checkpointsync and telemetryread — the static half of the determinism and
-# conservation contract (see README "Determinism contract"). Exceptions
-# need a justified //lint:allow.
+# conservation contract (see README "Determinism contract"). goroutineleak
+# blesses one fan-out, shard.Run: every other go statement in engine code
+# needs a context.Context. Exceptions need a justified //lint:allow.
 lint:
 	$(GO) run ./cmd/lbvet ./...
 
 # lint-canary proves the suite still catches the defect classes it exists
-# for: it plants a cross-shard write and a hot-path allocation in a scratch
-# copy of the module and requires lint to flag both (see
-# TestSeededDefectCanary).
+# for: it plants a cross-shard write, a hot-path allocation and a bare
+# goroutine in a scratch copy of the module and requires lint to flag all
+# three (see TestSeededDefectCanary).
 lint-canary:
 	$(GO) test -run '^TestSeededDefectCanary$$' ./internal/analysis
 

@@ -11,13 +11,13 @@ import (
 	"diffusionlb/internal/analysis/driver"
 )
 
-// TestSeededDefectCanary proves the suite catches the two defect classes the
-// new analyzers exist for, end to end through the same entry point make lint
+// TestSeededDefectCanary proves the suite catches the defect classes its
+// analyzers exist for, end to end through the same entry point make lint
 // uses. It copies the module into a scratch directory, plants a cross-shard
-// write in the discrete pass kernel and an fmt call in the hot Step path,
-// and requires LintModule to flag both. If a refactor ever blinds the
-// analyzers (a renamed kernel, a loosened scope), this fails before the race
-// does.
+// write in the discrete pass kernel, and an fmt call and a bare goroutine in
+// the hot Step path, and requires LintModule to flag all three. If a
+// refactor ever blinds the analyzers (a renamed kernel, a loosened scope, a
+// widened fan-out blessing), this fails before the race does.
 func TestSeededDefectCanary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint on a patched copy is slow; run without -short")
@@ -42,11 +42,12 @@ func TestSeededDefectCanary(t *testing.T) {
 	patched = strings.Replace(patched, sharded, "d.z[0] = float64(d.x[i])\n", 1)
 
 	// Defect 2: a hot-path allocation — formatting inside the per-round Step.
+	// Defect 3: a bare goroutine in Step, outside the shard.Run fan-out.
 	const stepHead = "func (d *Discrete) Step() {\n"
 	if !strings.Contains(patched, stepHead) {
 		t.Fatalf("canary anchor %q not found in discrete.go; update the canary with the kernel", stepHead)
 	}
-	patched = strings.Replace(patched, stepHead, stepHead+"\t_ = fmt.Sprintf(\"round %d\", d.round)\n", 1)
+	patched = strings.Replace(patched, stepHead, stepHead+"\t_ = fmt.Sprintf(\"round %d\", d.round)\n\tgo func() {}()\n", 1)
 
 	if err := os.WriteFile(target, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)
@@ -69,6 +70,9 @@ func TestSeededDefectCanary(t *testing.T) {
 	}
 	if byAnalyzer["hotalloc"] == 0 {
 		t.Errorf("planted hot-path fmt call not caught by hotalloc; diagnostics: %v", byAnalyzer)
+	}
+	if byAnalyzer["goroutineleak"] == 0 {
+		t.Errorf("planted bare goroutine in Step not caught by goroutineleak; diagnostics: %v", byAnalyzer)
 	}
 }
 
