@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"diffusionlb/internal/core"
@@ -207,6 +208,9 @@ func TestTelemetryGaugesAllocFree(t *testing.T) {
 	if invariants.Enabled {
 		t.Skip("the invariant checker formats a context string every round")
 	}
+	// A collection during the measurement adds allocations that are not the
+	// run's own (caches refilled after it), so count with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g, err := graph.Torus2D(16, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +249,8 @@ func TestRunnerInjectionAllocFree(t *testing.T) {
 	if invariants.Enabled {
 		t.Skip("the invariant checker formats a context string every round")
 	}
+	// See TestTelemetryGaugesAllocFree: no collection mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g, err := graph.Torus2D(16, 16)
 	if err != nil {
 		t.Fatal(err)
