@@ -92,6 +92,7 @@ import (
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/envdyn"
 	"diffusionlb/internal/experiments"
+	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/scenario"
 	"diffusionlb/internal/sim"
@@ -103,6 +104,7 @@ import (
 // Spec grammars, one line each, appended to parser errors so a typo shows
 // the valid syntax (and printed in README's grammar table).
 const (
+	graphGrammar    = "graph grammar:    torus2d:WxH | torus:S1xS2x... | hypercube:DIM | regular:N:D | rgg:N | cycle:N | path:N | complete:N | grid:WxH | star:N"
 	speedsGrammar   = "speeds grammar:   twoclass:FRAC:SPEED | range:MAX | powerlaw:ALPHA:MAX | single:IDX:SPEED"
 	workloadGrammar = "workload grammar: burst:ROUND:AMOUNT[:NODE] | hotspot:PERIOD:AMOUNT[:NODE] | poisson:RATE[:UNTIL] | churn:PERIOD:ARRIVE:DEPART[:UNTIL] | adversary:AMOUNT[:TOP], joined with '+'"
 	policyGrammar   = "policy grammar:   at:ROUND | local:THRESHOLD | stall:WINDOW:FACTOR | adaptive:LO:HI[:COOLDOWN] | never"
@@ -119,6 +121,8 @@ func withGrammar(err error) error {
 		return nil
 	}
 	switch {
+	case errors.Is(err, graph.ErrBadSpec):
+		return fmt.Errorf("%w\n%s", err, graphGrammar)
 	case errors.Is(err, hetero.ErrBadSpec):
 		return fmt.Errorf("%w\n%s", err, speedsGrammar)
 	case errors.Is(err, workload.ErrBadSpec):

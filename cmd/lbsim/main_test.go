@@ -312,6 +312,8 @@ func TestSpecErrorsPrintGrammar(t *testing.T) {
 		{[]string{"-sweep", "-graph", "cycle:8", "-policy", "warp:9", "-rounds", "10"}, "policy grammar"},
 		{[]string{"-sweep", "-graph", "cycle:8", "-scenario", "warp:x=1", "-rounds", "10"}, "scenario grammar"},
 		{[]string{"-sweep", "-graph", "cycle:8", "-runtime", "actor:0", "-rounds", "10"}, "runtime grammar"},
+		{[]string{"-graph", "torus2d:axb", "-rounds", "3"}, "graph grammar"},
+		{[]string{"-sweep", "-graph", "torus2d:8", "-rounds", "3", "-format", "csv"}, "graph grammar"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

@@ -3,8 +3,8 @@ package actor
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+
+	"diffusionlb/internal/spec"
 )
 
 // ErrBadSpec reports a malformed actor runtime spec.
@@ -30,30 +30,14 @@ type Options struct {
 // The grammar is the -runtime flag of cmd/lbsim and the runtimes axis of
 // sweep.Spec; an empty runtime spec there means the shared-memory engine
 // and is the caller's case to handle, not this parser's.
-func FromSpec(spec string) (Options, error) {
-	bad := func(format string, args ...any) (Options, error) {
-		return Options{}, fmt.Errorf("%w: %q: %s", ErrBadSpec, spec, fmt.Sprintf(format, args...))
-	}
-	rest, ok := strings.CutPrefix(spec, "actor:")
-	if !ok {
-		return bad("want actor:K[,stale=S]")
-	}
-	kStr, tail, hasTail := strings.Cut(rest, ",")
-	k, err := strconv.Atoi(kStr)
-	if err != nil || k < 1 {
-		return bad("actor count %q must be an integer >= 1", kStr)
-	}
-	o := Options{Actors: k}
-	if hasTail {
-		sStr, ok := strings.CutPrefix(tail, "stale=")
-		if !ok {
-			return bad("unknown option %q, want stale=S", tail)
-		}
-		s, err := strconv.Atoi(sStr)
-		if err != nil || s < 0 {
-			return bad("staleness %q must be an integer >= 0", sStr)
-		}
-		o.Stale = s
+func FromSpec(s string) (Options, error) {
+	r := spec.Keyed(ErrBadSpec, s)
+	r.Check(r.Kind() == "actor", "want actor:K[,stale=S]")
+	o := Options{Actors: r.Int(1), Stale: r.KeyInt("stale", 0)}
+	r.Check(o.Actors >= 1, "actor count must be >= 1")
+	r.Check(o.Stale >= 0, "staleness must be >= 0")
+	if err := r.Err(); err != nil {
+		return Options{}, err
 	}
 	return o, nil
 }

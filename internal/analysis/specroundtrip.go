@@ -9,11 +9,12 @@ import (
 	"diffusionlb/internal/analysis/driver"
 )
 
-// SpecRoundtrip enforces the spec-grammar convention established across the
-// graph/speeds/workload/policy/envdyn/scenario parsers: every exported
-// FromSpec parser must return a type carrying a Name() string method (the
-// canonical spec the value round-trips through), and its package must have a
-// Fuzz* test exercising the parser.
+// SpecRoundtrip enforces the spec-grammar convention shared by the
+// graph/speeds/workload/policy/envdyn/scenario/runtime parsers, which all
+// read their arguments through internal/spec: every exported FromSpec
+// parser must return a type carrying a Name() string method (the canonical
+// spec the value round-trips through), and its package must have a Fuzz*
+// test exercising the parser.
 //
 // The pairing is what keeps the spec grammars honest: Name() makes every
 // parsed value re-parseable (sweep CSV columns, CLI echo, checkpoint

@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"diffusionlb/internal/metrics"
+	"diffusionlb/internal/spec"
 )
 
 // AdaptivePolicy decides, after every completed round, which scheme a
@@ -94,7 +92,7 @@ func (s SwitchAtRound) Decide(p Process) (Kind, bool) {
 }
 
 // Name implements AdaptivePolicy.
-func (s SwitchAtRound) Name() string { return fmt.Sprintf("at:%d", s.Round) }
+func (s SwitchAtRound) Name() string { return spec.Name("at", s.Round) }
 
 // SwitchOnLocalDiff switches SOS→FOS once the maximum local load difference
 // drops to Threshold or below — the locally-computable signal the paper
@@ -107,7 +105,7 @@ func (s SwitchOnLocalDiff) Decide(p Process) (Kind, bool) {
 }
 
 // Name implements AdaptivePolicy.
-func (s SwitchOnLocalDiff) Name() string { return fmt.Sprintf("local:%g", s.Threshold) }
+func (s SwitchOnLocalDiff) Name() string { return spec.Name("local", s.Threshold) }
 
 // SwitchOnPotentialStall switches SOS→FOS when the 2-norm potential has
 // improved by less than Factor (e.g. 0.01 = 1%) over the last Window SOS
@@ -176,7 +174,7 @@ func (s *SwitchOnPotentialStall) stalled(p Process) bool {
 
 // Name implements AdaptivePolicy.
 func (s *SwitchOnPotentialStall) Name() string {
-	return fmt.Sprintf("stall:%d:%g", s.window(), s.Factor)
+	return spec.Name("stall", s.window(), s.Factor)
 }
 
 // NeverSwitch is the identity policy (pure SOS or pure FOS run).
@@ -245,7 +243,7 @@ func (h *HysteresisBand) Decide(p Process) (Kind, bool) {
 
 // Name implements AdaptivePolicy.
 func (h *HysteresisBand) Name() string {
-	return fmt.Sprintf("adaptive:%g:%g:%d", h.Lo, h.Hi, h.Cooldown)
+	return spec.Name("adaptive", h.Lo, h.Hi, h.Cooldown)
 }
 
 // ResetPolicy clears any per-run state the policy value carries (stall
@@ -279,121 +277,41 @@ var ErrBadPolicySpec = errors.New("core: invalid policy spec")
 // The empty spec means no policy and returns (nil, nil). Every call
 // returns a fresh value, so stateful policies never leak history between
 // runs; Name() of the result is the canonical spec and re-parses.
-func PolicyFromSpec(spec string) (AdaptivePolicy, error) {
-	if spec == "" {
+func PolicyFromSpec(s string) (AdaptivePolicy, error) {
+	if s == "" {
 		return nil, nil
 	}
-	fields := strings.Split(spec, ":")
-	bad := func(msg string) error {
-		return fmt.Errorf("%w: %q: %s", ErrBadPolicySpec, spec, msg)
-	}
-	argInt := func(i int) (int, error) {
-		if i >= len(fields) {
-			return 0, bad(fmt.Sprintf("missing argument %d", i))
-		}
-		v, err := strconv.Atoi(fields[i])
-		if err != nil {
-			return 0, bad(fmt.Sprintf("argument %d: %v", i, err))
-		}
-		return v, nil
-	}
-	argFloat := func(i int) (float64, error) {
-		if i >= len(fields) {
-			return 0, bad(fmt.Sprintf("missing argument %d", i))
-		}
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, bad(fmt.Sprintf("argument %d: not a finite number", i))
-		}
-		return v, nil
-	}
-	tooMany := func(max int) error {
-		if len(fields) > max {
-			return bad(fmt.Sprintf("at most %d arguments", max-1))
-		}
-		return nil
-	}
-	switch fields[0] {
+	r := spec.Positional(ErrBadPolicySpec, s)
+	var p AdaptivePolicy
+	switch r.Kind() {
 	case "never":
-		if err := tooMany(1); err != nil {
-			return nil, err
-		}
-		return NeverSwitch{}, nil
+		p = NeverSwitch{}
 	case "at":
-		round, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(2); err != nil {
-			return nil, err
-		}
-		if round < 1 {
-			return nil, bad("switch round must be >= 1")
-		}
-		return SwitchAtRound{Round: round}, nil
+		round := r.Int(1)
+		r.Check(round >= 1, "switch round must be >= 1")
+		p = SwitchAtRound{Round: round}
 	case "local":
-		thr, err := argFloat(1)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(2); err != nil {
-			return nil, err
-		}
-		if thr < 0 {
-			return nil, bad("threshold must be >= 0")
-		}
-		return SwitchOnLocalDiff{Threshold: thr}, nil
+		thr := r.Float(1)
+		r.Check(thr >= 0, "threshold must be >= 0")
+		p = SwitchOnLocalDiff{Threshold: thr}
 	case "stall":
-		window, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		factor, err := argFloat(2)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(3); err != nil {
-			return nil, err
-		}
-		if window < 1 {
-			return nil, bad("window must be >= 1")
-		}
-		if factor <= 0 {
-			return nil, bad("factor must be > 0")
-		}
-		return &SwitchOnPotentialStall{Window: window, Factor: factor}, nil
+		window, factor := r.Int(1), r.Float(2)
+		r.Check(window >= 1, "window must be >= 1")
+		r.Check(factor > 0, "factor must be > 0")
+		p = &SwitchOnPotentialStall{Window: window, Factor: factor}
 	case "adaptive":
-		lo, err := argFloat(1)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := argFloat(2)
-		if err != nil {
-			return nil, err
-		}
-		cooldown := 50
-		if len(fields) > 3 {
-			cooldown, err = argInt(3)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := tooMany(4); err != nil {
-			return nil, err
-		}
-		if lo < 0 {
-			return nil, bad("lo must be >= 0")
-		}
-		if hi <= lo {
-			return nil, bad("hi must exceed lo (hysteresis band)")
-		}
-		if cooldown < 0 {
-			return nil, bad("cooldown must be >= 0")
-		}
-		return &HysteresisBand{Lo: lo, Hi: hi, Cooldown: cooldown}, nil
+		lo, hi, cooldown := r.Float(1), r.Float(2), r.OptInt(3, 50)
+		r.Check(lo >= 0, "lo must be >= 0")
+		r.Check(hi > lo, "hi must exceed lo (hysteresis band)")
+		r.Check(cooldown >= 0, "cooldown must be >= 0")
+		p = &HysteresisBand{Lo: lo, Hi: hi, Cooldown: cooldown}
 	default:
-		return nil, bad("unknown kind (at|local|stall|adaptive|never)")
+		r.Fail("unknown kind (at|local|stall|adaptive|never)")
 	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // ApplyAdaptive evaluates the policy against p and actuates the switch it

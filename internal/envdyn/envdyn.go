@@ -38,6 +38,7 @@ import (
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/nodeset"
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 )
 
 // Dynamics produces the per-node speed multipliers of a round.
@@ -119,7 +120,7 @@ func (t *Throttle) Name() string {
 	if t.Boost {
 		kind = "boost"
 	}
-	var b SpecBuilder
+	var b spec.Builder
 	b.Kind(kind)
 	if t.Every > 0 {
 		b.Add("every", t.Every)
@@ -204,7 +205,7 @@ func (d *Drain) multAt(round int) float64 {
 
 // Name implements Dynamics.
 func (d *Drain) Name() string {
-	var b SpecBuilder
+	var b spec.Builder
 	b.Kind("drain")
 	b.Add("at", d.At)
 	b.Add("frac", d.Frac)
@@ -264,7 +265,7 @@ var _ Dynamics = (*Jitter)(nil)
 
 // Name implements Dynamics.
 func (j *Jitter) Name() string {
-	var b SpecBuilder
+	var b spec.Builder
 	b.Kind("jitter")
 	b.Add("sigma", j.Sigma)
 	if j.Cap > 0 && j.Cap != 4 {

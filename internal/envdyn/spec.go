@@ -3,11 +3,9 @@ package envdyn
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 )
 
 // ErrBadSpec reports a malformed environment spec.
@@ -43,343 +41,96 @@ var ErrBadSpec = errors.New("envdyn: invalid spec")
 // The selection fraction resolves to max(1, round(F·n)) nodes; sel=fast
 // (the default for throttle/boost/drain) targets the highest base speeds
 // with ties broken toward the lowest index.
-func FromSpec(spec string, n int, seed uint64) (Dynamics, error) {
-	if spec == "" {
+func FromSpec(s string, n int, seed uint64) (Dynamics, error) {
+	if s == "" {
 		return nil, nil
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrBadSpec, n)
 	}
-	if inner, ok := strings.CutPrefix(spec, "compose("); ok {
-		body, ok := strings.CutSuffix(inner, ")")
-		if !ok || body == "" {
-			return nil, fmt.Errorf("%w: %q: unterminated or empty compose(...)", ErrBadSpec, spec)
-		}
-		spec = body
-	}
-	parts := strings.Split(spec, "+")
-	dyns := make(Compose, 0, len(parts))
-	for pi, part := range parts {
-		d, err := fromOneSpec(part, randx.Mix(seed, uint64(pi)))
-		if err != nil {
-			return nil, err
-		}
-		dyns = append(dyns, d)
+	dyns, err := spec.Split(ErrBadSpec, s, true, func(part string, i int) (Dynamics, error) {
+		return fromOneSpec(part, randx.Mix(seed, uint64(i)))
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(dyns) == 1 {
 		return dyns[0], nil
 	}
-	return dyns, nil
+	return Compose(dyns), nil
 }
 
-// ValidateSpec reports whether spec parses, without needing the real node
+// ValidateSpec reports whether s parses, without needing the real node
 // count (sweep validation runs before graphs are built).
-func ValidateSpec(spec string) error {
-	_, err := FromSpec(spec, 1<<31-1, 0)
+func ValidateSpec(s string) error {
+	_, err := FromSpec(s, 1<<31-1, 0)
 	return err
 }
 
-// Args holds the parsed comma-separated key=value argument list of one
-// spec component. It is exported (together with SpecBuilder) so that the
-// other key=value spec family — internal/scenario — shares one grammar
-// implementation with this package.
-type Args struct {
-	part string
-	m    map[string]string
-}
-
-// ParseArgs parses the argument list of one component, rejecting
-// duplicate, unknown and malformed keys. part is the full component text
-// (for error messages), args the text after the "kind:" prefix.
-func ParseArgs(part, args string, allowed []string) (*Args, error) {
-	kv := &Args{part: part, m: map[string]string{}}
-	if args == "" {
-		return kv, nil
+// ReadDrain reads and checks the drain component's key=value arguments
+// into a Drain, recording any failure in r. It is exported because the
+// scenario grammar's drain event takes the exact same parameters:
+// internal/scenario reads through this helper, so the -env and -scenario
+// drain grammars cannot silently diverge.
+func ReadDrain(r *spec.Reader, seed uint64) *Drain {
+	r.Require("at", "frac")
+	d := &Drain{At: r.KeyInt("at", 0), Ramp: r.KeyInt("ramp", 1), Restore: r.KeyInt("restore", 0),
+		RestoreRamp: r.KeyInt("rramp", 1), Frac: r.KeyFloat("frac", 0), Sel: r.Sel(SelFast), Seed: seed}
+	r.Check(d.At >= 1, "at must be >= 1")
+	r.Check(d.Ramp >= 1, "ramp must be >= 1")
+	r.Check(d.Frac > 0 && d.Frac <= 1, "frac must be in (0, 1]")
+	r.Check(r.Has("restore") || !r.Has("rramp"), "rramp needs restore")
+	if r.Has("restore") {
+		r.Check(d.Restore >= d.At+d.Ramp, "restore must be >= at+ramp (drain completes first)")
+		r.Check(d.RestoreRamp >= 1, "rramp must be >= 1")
 	}
-	ok := func(key string) bool {
-		for _, a := range allowed {
-			if a == key {
-				return true
-			}
-		}
-		return false
-	}
-	for _, f := range strings.Split(args, ",") {
-		k, v, found := strings.Cut(f, "=")
-		if !found || k == "" || v == "" {
-			return nil, kv.Bad(fmt.Sprintf("argument %q is not key=value", f))
-		}
-		if !ok(k) {
-			return nil, kv.Bad(fmt.Sprintf("unknown key %q (valid: %s)", k, strings.Join(allowed, ", ")))
-		}
-		if _, dup := kv.m[k]; dup {
-			return nil, kv.Bad(fmt.Sprintf("duplicate key %q", k))
-		}
-		kv.m[k] = v
-	}
-	return kv, nil
-}
-
-// Bad wraps msg into an ErrBadSpec error naming the component.
-func (kv *Args) Bad(msg string) error {
-	return fmt.Errorf("%w: %q: %s", ErrBadSpec, kv.part, msg)
-}
-
-// Has reports whether the key was present in the input.
-func (kv *Args) Has(key string) bool { _, ok := kv.m[key]; return ok }
-
-// Int returns the integer value of key, or def when absent.
-func (kv *Args) Int(key string, def int) (int, error) {
-	v, ok := kv.m[key]
-	if !ok {
-		return def, nil
-	}
-	i, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, kv.Bad(fmt.Sprintf("%s=%q: not an integer", key, v))
-	}
-	return i, nil
-}
-
-// Float returns the finite float value of key, or def when absent.
-func (kv *Args) Float(key string, def float64) (float64, error) {
-	v, ok := kv.m[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, kv.Bad(fmt.Sprintf("%s=%q: not a finite number", key, v))
-	}
-	return f, nil
-}
-
-// Sel returns the validated "sel" key (fast|slow|random), or def when
-// absent.
-func (kv *Args) Sel(def string) (string, error) {
-	v, ok := kv.m["sel"]
-	if !ok {
-		return def, nil
-	}
-	switch v {
-	case SelFast, SelSlow, SelRandom:
-		return v, nil
-	}
-	return "", kv.Bad(fmt.Sprintf("sel=%q (fast|slow|random)", v))
-}
-
-// Require errors unless every named key was present in the input.
-func (kv *Args) Require(keys ...string) error {
-	for _, k := range keys {
-		if !kv.Has(k) {
-			return kv.Bad(fmt.Sprintf("missing required key %q", k))
-		}
-	}
-	return nil
-}
-
-// DrainFromArgs parses and validates the drain component's key=value
-// arguments into a Drain. It is exported because the scenario grammar's
-// drain event shares the exact parameter set: internal/scenario parses
-// through this helper, so the -env and -scenario drain grammars cannot
-// silently diverge.
-func DrainFromArgs(part, args string, seed uint64) (*Drain, error) {
-	kv, err := ParseArgs(part, args, []string{"at", "ramp", "restore", "rramp", "frac", "sel"})
-	if err != nil {
-		return nil, err
-	}
-	if err := kv.Require("at", "frac"); err != nil {
-		return nil, err
-	}
-	d := &Drain{Seed: seed}
-	if d.At, err = kv.Int("at", 0); err != nil {
-		return nil, err
-	}
-	if d.Ramp, err = kv.Int("ramp", 1); err != nil {
-		return nil, err
-	}
-	if d.Restore, err = kv.Int("restore", 0); err != nil {
-		return nil, err
-	}
-	if d.RestoreRamp, err = kv.Int("rramp", 1); err != nil {
-		return nil, err
-	}
-	if d.Frac, err = kv.Float("frac", 0); err != nil {
-		return nil, err
-	}
-	if d.Sel, err = kv.Sel(SelFast); err != nil {
-		return nil, err
-	}
-	if d.At < 1 {
-		return nil, kv.Bad("at must be >= 1")
-	}
-	if d.Ramp < 1 {
-		return nil, kv.Bad("ramp must be >= 1")
-	}
-	if d.Frac <= 0 || d.Frac > 1 {
-		return nil, kv.Bad("frac must be in (0, 1]")
-	}
-	if kv.Has("rramp") && !kv.Has("restore") {
-		return nil, kv.Bad("rramp needs restore")
-	}
-	if kv.Has("restore") {
-		if d.Restore < d.At+d.Ramp {
-			return nil, kv.Bad("restore must be >= at+ramp (drain completes first)")
-		}
-		if d.RestoreRamp < 1 {
-			return nil, kv.Bad("rramp must be >= 1")
-		}
-	}
-	return d, nil
+	return d
 }
 
 // fromOneSpec parses a single "+"-free component.
 func fromOneSpec(part string, seed uint64) (Dynamics, error) {
-	kind, args, _ := strings.Cut(part, ":")
-	bad := func(msg string) error {
-		return fmt.Errorf("%w: %q: %s", ErrBadSpec, part, msg)
-	}
-	switch kind {
+	r := spec.Keyed(ErrBadSpec, part)
+	var d Dynamics
+	switch kind := r.Kind(); kind {
 	case "throttle", "boost":
-		kv, err := ParseArgs(part, args, []string{"at", "until", "every", "dur", "frac", "factor", "sel"})
-		if err != nil {
-			return nil, err
-		}
-		if err := kv.Require("frac", "factor"); err != nil {
-			return nil, err
-		}
-		t := &Throttle{Boost: kind == "boost", Seed: seed}
-		if t.At, err = kv.Int("at", 0); err != nil {
-			return nil, err
-		}
-		if t.Until, err = kv.Int("until", 0); err != nil {
-			return nil, err
-		}
-		if t.Every, err = kv.Int("every", 0); err != nil {
-			return nil, err
-		}
-		if t.Dur, err = kv.Int("dur", 0); err != nil {
-			return nil, err
-		}
-		if t.Frac, err = kv.Float("frac", 0); err != nil {
-			return nil, err
-		}
-		if t.Factor, err = kv.Float("factor", 0); err != nil {
-			return nil, err
-		}
-		if t.Sel, err = kv.Sel(SelFast); err != nil {
-			return nil, err
-		}
+		r.Require("frac", "factor")
+		t := &Throttle{At: r.KeyInt("at", 0), Until: r.KeyInt("until", 0), Every: r.KeyInt("every", 0),
+			Dur: r.KeyInt("dur", 0), Frac: r.KeyFloat("frac", 0), Factor: r.KeyFloat("factor", 0),
+			Sel: r.Sel(SelFast), Boost: kind == "boost", Seed: seed}
 		switch {
-		case kv.Has("at") && kv.Has("every"):
-			return nil, bad("set either at=... (one-shot) or every=...,dur=... (recurring), not both")
-		case kv.Has("every"):
-			if t.Every < 1 {
-				return nil, bad("every must be >= 1")
-			}
-			if !kv.Has("dur") || t.Dur < 1 || t.Dur > t.Every {
-				return nil, bad("recurring mode needs dur in [1, every]")
-			}
-			if kv.Has("until") {
-				return nil, bad("until only applies to one-shot mode")
-			}
-		case kv.Has("at"):
-			if t.At < 1 {
-				return nil, bad("at must be >= 1")
-			}
-			if kv.Has("dur") {
-				return nil, bad("dur only applies to recurring mode")
-			}
-			if t.Until != 0 && t.Until <= t.At {
-				return nil, bad("until must exceed at")
-			}
+		case r.Has("at") && r.Has("every"):
+			r.Fail("set either at=... (one-shot) or every=...,dur=... (recurring), not both")
+		case r.Has("every"):
+			r.Check(t.Every >= 1, "every must be >= 1")
+			r.Check(r.Has("dur") && t.Dur >= 1 && t.Dur <= t.Every, "recurring mode needs dur in [1, every]")
+			r.Check(!r.Has("until"), "until only applies to one-shot mode")
+		case r.Has("at"):
+			r.Check(t.At >= 1, "at must be >= 1")
+			r.Check(!r.Has("dur"), "dur only applies to recurring mode")
+			r.Check(t.Until == 0 || t.Until > t.At, "until must exceed at")
 		default:
-			return nil, bad("missing schedule: at=... or every=...,dur=...")
+			r.Fail("missing schedule: at=... or every=...,dur=...")
 		}
-		if t.Frac <= 0 || t.Frac > 1 {
-			return nil, bad("frac must be in (0, 1]")
-		}
-		if t.Factor <= 0 {
-			return nil, bad("factor must be > 0")
-		}
-		if kind == "throttle" && t.Factor > 1 {
-			return nil, bad("throttle factor must be <= 1 (use boost for speed-ups)")
-		}
-		if kind == "boost" && t.Factor < 1 {
-			return nil, bad("boost factor must be >= 1 (use throttle for slow-downs)")
-		}
-		return t, nil
-
+		r.Check(t.Frac > 0 && t.Frac <= 1, "frac must be in (0, 1]")
+		r.Check(t.Factor > 0, "factor must be > 0")
+		r.Check(t.Boost || t.Factor <= 1, "throttle factor must be <= 1 (use boost for speed-ups)")
+		r.Check(!t.Boost || t.Factor >= 1, "boost factor must be >= 1 (use throttle for slow-downs)")
+		d = t
 	case "drain":
-		return DrainFromArgs(part, args, seed)
-
+		d = ReadDrain(r, seed)
 	case "jitter":
-		kv, err := ParseArgs(part, args, []string{"sigma", "cap", "frac", "sel"})
-		if err != nil {
-			return nil, err
-		}
-		if err := kv.Require("sigma"); err != nil {
-			return nil, err
-		}
-		j := &Jitter{Seed: seed}
-		if j.Sigma, err = kv.Float("sigma", 0); err != nil {
-			return nil, err
-		}
-		if j.Cap, err = kv.Float("cap", 4); err != nil {
-			return nil, err
-		}
-		if j.Frac, err = kv.Float("frac", 1); err != nil {
-			return nil, err
-		}
-		if j.Sel, err = kv.Sel(SelRandom); err != nil {
-			return nil, err
-		}
-		if j.Sigma <= 0 || j.Sigma > 2 {
-			return nil, bad("sigma must be in (0, 2]")
-		}
-		if j.Cap <= 1 || j.Cap > 1e6 {
-			return nil, bad("cap must be in (1, 1e6]")
-		}
-		if j.Frac <= 0 || j.Frac > 1 {
-			return nil, bad("frac must be in (0, 1]")
-		}
-		return j, nil
-
+		r.Require("sigma")
+		j := &Jitter{Sigma: r.KeyFloat("sigma", 0), Cap: r.KeyFloat("cap", 4), Frac: r.KeyFloat("frac", 1),
+			Sel: r.Sel(SelRandom), Seed: seed}
+		r.Check(j.Sigma > 0 && j.Sigma <= 2, "sigma must be in (0, 2]")
+		r.Check(j.Cap > 1 && j.Cap <= 1e6, "cap must be in (1, 1e6]")
+		r.Check(j.Frac > 0 && j.Frac <= 1, "frac must be in (0, 1]")
+		d = j
 	default:
-		return nil, bad("unknown kind (throttle|boost|drain|jitter)")
+		r.Fail("unknown kind (throttle|boost|drain|jitter)")
 	}
-}
-
-// SpecBuilder renders the canonical key=value spec form of a component
-// (shared with internal/scenario, like Args).
-type SpecBuilder struct {
-	b     strings.Builder
-	first bool
-}
-
-// Kind starts the component with its kind name.
-func (s *SpecBuilder) Kind(kind string) {
-	s.b.WriteString(kind)
-	s.first = true
-}
-
-// Add appends one key=value argument.
-func (s *SpecBuilder) Add(key string, val any) {
-	if s.first {
-		s.b.WriteByte(':')
-		s.first = false
-	} else {
-		s.b.WriteByte(',')
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(&s.b, "%s=%v", key, val)
+	return d, nil
 }
-
-// Sel appends the selection key unless it is the component default.
-func (s *SpecBuilder) Sel(sel, def string) {
-	if sel != "" && sel != def {
-		s.Add("sel", sel)
-	}
-}
-
-// String returns the rendered spec.
-func (s *SpecBuilder) String() string { return s.b.String() }

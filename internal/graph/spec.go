@@ -1,10 +1,15 @@
 package graph
 
 import (
-	"fmt"
-	"strconv"
+	"errors"
 	"strings"
+
+	"diffusionlb/internal/spec"
 )
+
+// ErrBadSpec reports a malformed graph spec (as opposed to ErrBadParameter
+// and ErrTooLarge, which report generator arguments out of range).
+var ErrBadSpec = errors.New("graph: invalid spec")
 
 // FromSpec builds a graph from a compact textual spec, the syntax shared by
 // the lbsim CLI and the sweep engine:
@@ -12,88 +17,54 @@ import (
 //	torus2d:WxH | torus:S1xS2x... | hypercube:DIM | regular:N:D |
 //	rgg:N | cycle:N | path:N | complete:N | grid:WxH | star:N
 //
+// The kind is case-insensitive, and 'x', 'X' and ':' all separate the
+// numbers, empty fields dropping out ("regular:12::4" is "regular:12:4").
 // Randomized families (regular, rgg) consume seed; deterministic families
 // ignore it, so a spec plus a seed always identifies one graph.
-func FromSpec(spec string, seed uint64) (*Graph, error) {
-	kind, rest, _ := strings.Cut(spec, ":")
-	dims := func(s string) ([]int, error) {
-		parts := strings.FieldsFunc(s, func(r rune) bool { return r == 'x' || r == 'X' || r == ':' })
-		out := make([]int, 0, len(parts))
-		for _, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad dimension %q in spec %q", p, spec)
-			}
-			out = append(out, v)
-		}
-		return out, nil
+func FromSpec(s string, seed uint64) (*Graph, error) {
+	kind, rest, _ := strings.Cut(s, ":")
+	kind = strings.ToLower(kind)
+	r := spec.New(ErrBadSpec, s, kind, strings.FieldsFunc(rest, func(c rune) bool {
+		return c == 'x' || c == 'X' || c == ':'
+	}))
+	arity := 1
+	switch kind {
+	case "torus2d", "grid", "regular":
+		arity = 2
+	case "torus":
+		arity = r.Len()
+	case "hypercube", "rgg", "cycle", "path", "complete", "star":
+	default:
+		r.Fail("unknown kind (torus2d|torus|hypercube|regular|rgg|cycle|path|complete|grid|star)")
 	}
-	switch strings.ToLower(kind) {
+	d := make([]int, arity)
+	for i := range d {
+		d[i] = r.Int(i + 1)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	switch kind {
 	case "torus2d":
-		d, err := dims(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(d) != 2 {
-			return nil, fmt.Errorf("graph: torus2d needs WxH, got %q", rest)
-		}
 		return Torus2D(d[0], d[1])
 	case "torus":
-		d, err := dims(rest)
-		if err != nil {
-			return nil, err
-		}
 		return Torus(d...)
 	case "hypercube":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: hypercube needs DIM, got %q", rest)
-		}
 		return Hypercube(d[0])
 	case "regular":
-		d, err := dims(rest)
-		if err != nil || len(d) != 2 {
-			return nil, fmt.Errorf("graph: regular needs N:D, got %q", rest)
-		}
 		return RandomRegular(d[0], d[1], seed)
 	case "rgg":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: rgg needs N, got %q", rest)
-		}
 		g, _, err := RandomGeometric(d[0], seed, GeometricOptions{})
 		return g, err
 	case "cycle":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: cycle needs N, got %q", rest)
-		}
 		return Cycle(d[0])
 	case "path":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: path needs N, got %q", rest)
-		}
 		return Path(d[0])
 	case "complete":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: complete needs N, got %q", rest)
-		}
 		return Complete(d[0])
 	case "grid":
-		d, err := dims(rest)
-		if err != nil || len(d) != 2 {
-			return nil, fmt.Errorf("graph: grid needs WxH, got %q", rest)
-		}
 		return Grid2D(d[0], d[1])
-	case "star":
-		d, err := dims(rest)
-		if err != nil || len(d) != 1 {
-			return nil, fmt.Errorf("graph: star needs N, got %q", rest)
-		}
-		return Star(d[0])
 	default:
-		return nil, fmt.Errorf("graph: unknown graph kind %q in spec %q", kind, spec)
+		return Star(d[0])
 	}
 }

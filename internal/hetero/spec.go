@@ -2,10 +2,9 @@ package hetero
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
+
+	"diffusionlb/internal/spec"
 )
 
 // ErrBadSpec reports a malformed speeds spec (as opposed to ErrBadSpeeds,
@@ -20,110 +19,51 @@ var ErrBadSpec = errors.New("hetero: invalid speeds spec")
 // The empty spec means homogeneous speeds and returns (nil, nil). The
 // result's Name() is the canonical spec and re-parses to the same vector
 // under the same (n, seed).
-func SpeedsFromSpec(spec string, n int, seed uint64) (*Speeds, error) {
-	if spec == "" {
+func SpeedsFromSpec(s string, n int, seed uint64) (*Speeds, error) {
+	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(spec, ":")
-	bad := func(msg string) error {
-		return fmt.Errorf("%w: %q: %s", ErrBadSpec, spec, msg)
+	r := spec.Positional(ErrBadSpec, s)
+	kind := r.Kind()
+	var a, b float64 // the kind's arguments, in grammar order
+	switch kind {
+	case "twoclass", "powerlaw":
+		a, b = r.Float(1), r.Float(2)
+	case "range":
+		a = r.Float(1)
+	case "single":
+		a = r.Float(1)
+		//lint:allow floateq integrality check: Trunc equality is exact by construction
+		r.Check(a == math.Trunc(a), "node index must be an integer")
+		b = r.Float(2)
+	default:
+		r.Fail("unknown kind (twoclass|range|powerlaw|single)")
 	}
-	num := func(i int) (float64, error) {
-		if i >= len(parts) {
-			return 0, bad(fmt.Sprintf("missing argument %d", i))
-		}
-		v, err := strconv.ParseFloat(parts[i], 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, bad(fmt.Sprintf("argument %d (%q): not a finite number", i, parts[i]))
-		}
-		return v, nil
-	}
-	exactly := func(want int) error {
-		if len(parts) != want {
-			return bad(fmt.Sprintf("takes exactly %d arguments", want-1))
-		}
-		return nil
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	var (
-		sp  *Speeds
-		err error
+		sp   *Speeds
+		err  error
+		name string
 	)
-	switch parts[0] {
+	switch kind {
 	case "twoclass":
-		if err = exactly(3); err != nil {
-			return nil, err
-		}
-		var frac, speed float64
-		if frac, err = num(1); err != nil {
-			return nil, err
-		}
-		if speed, err = num(2); err != nil {
-			return nil, err
-		}
-		if sp, err = TwoClass(n, frac, speed, seed); err != nil {
-			return nil, err
-		}
-		sp.name = specName("twoclass", frac, speed)
+		sp, err = TwoClass(n, a, b, seed)
+		name = spec.Name(kind, a, b)
 	case "range":
-		if err = exactly(2); err != nil {
-			return nil, err
-		}
-		var max float64
-		if max, err = num(1); err != nil {
-			return nil, err
-		}
-		if sp, err = UniformRange(n, max, seed); err != nil {
-			return nil, err
-		}
-		sp.name = specName("range", max)
+		sp, err = UniformRange(n, a, seed)
+		name = spec.Name(kind, a)
 	case "powerlaw":
-		if err = exactly(3); err != nil {
-			return nil, err
-		}
-		var alpha, max float64
-		if alpha, err = num(1); err != nil {
-			return nil, err
-		}
-		if max, err = num(2); err != nil {
-			return nil, err
-		}
-		if sp, err = PowerLaw(n, alpha, max, seed); err != nil {
-			return nil, err
-		}
-		sp.name = specName("powerlaw", alpha, max)
+		sp, err = PowerLaw(n, a, b, seed)
+		name = spec.Name(kind, a, b)
 	case "single":
-		if err = exactly(3); err != nil {
-			return nil, err
-		}
-		var idx, speed float64
-		if idx, err = num(1); err != nil {
-			return nil, err
-		}
-		//lint:allow floateq integrality check: Trunc equality is exact by construction
-		if idx != math.Trunc(idx) {
-			return nil, bad("node index must be an integer")
-		}
-		if speed, err = num(2); err != nil {
-			return nil, err
-		}
-		if sp, err = SingleFast(n, int(idx), speed); err != nil {
-			return nil, err
-		}
-		sp.name = specName("single", int(idx), speed)
-	default:
-		return nil, bad("unknown kind (twoclass|range|powerlaw|single)")
+		sp, err = SingleFast(n, int(a), b)
+		name = spec.Name(kind, int(a), b)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sp.name = name
 	return sp, nil
-}
-
-// specName renders the canonical colon-joined spec form.
-func specName(parts ...any) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteByte(':')
-		}
-		fmt.Fprintf(&b, "%v", p)
-	}
-	return b.String()
 }

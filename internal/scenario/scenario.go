@@ -32,6 +32,7 @@ import (
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/nodeset"
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 	"diffusionlb/internal/workload"
 )
 
@@ -110,8 +111,8 @@ func (d *Drain) syncEnv() {
 }
 
 // Name implements Event. The scenario drain spec is byte-identical to the
-// envdyn one (the grammars share envdyn.DrainFromArgs), so rendering
-// delegates too.
+// envdyn one (the grammars share envdyn.ReadDrain), so rendering delegates
+// too.
 func (d *Drain) Name() string {
 	d.syncEnv()
 	return d.env.Name()
@@ -277,7 +278,7 @@ var _ Event = (*Correlated)(nil)
 
 // Name implements Event.
 func (c *Correlated) Name() string {
-	var b envdyn.SpecBuilder
+	var b spec.Builder
 	b.Kind("correlated")
 	b.Add("at", c.At)
 	b.Add("frac", c.Frac)
@@ -388,7 +389,7 @@ func (c *Cascade) sel() string {
 
 // Name implements Event.
 func (c *Cascade) Name() string {
-	var b envdyn.SpecBuilder
+	var b spec.Builder
 	b.Kind("cascade")
 	b.Add("at", c.At)
 	b.Add("waves", c.Waves)

@@ -3,11 +3,11 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"diffusionlb/internal/envdyn"
 	"diffusionlb/internal/nodeset"
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 )
 
 // ErrBadSpec reports a malformed scenario spec.
@@ -37,176 +37,70 @@ var ErrBadSpec = errors.New("scenario: invalid spec")
 // returns (nil, nil). n is the node count (must be positive); seed is the
 // master seed the selection and jitter streams derive from, with each
 // composed part salted by its position.
-func FromSpec(spec string, n int, seed uint64) (*Scenario, error) {
-	if spec == "" {
+func FromSpec(s string, n int, seed uint64) (*Scenario, error) {
+	if s == "" {
 		return nil, nil
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrBadSpec, n)
 	}
-	if inner, ok := strings.CutPrefix(spec, "compose("); ok {
-		body, ok := strings.CutSuffix(inner, ")")
-		if !ok || body == "" {
-			return nil, fmt.Errorf("%w: %q: unterminated or empty compose(...)", ErrBadSpec, spec)
-		}
-		spec = body
-	}
-	parts := strings.Split(spec, "+")
-	events := make([]Event, 0, len(parts))
-	for pi, part := range parts {
-		e, err := fromOneSpec(part, randx.Mix(seed, uint64(pi)))
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, e)
+	events, err := spec.Split(ErrBadSpec, s, true, func(part string, i int) (Event, error) {
+		return fromOneSpec(part, randx.Mix(seed, uint64(i)))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return New(events...), nil
 }
 
-// ValidateSpec reports whether spec parses, without needing the real node
+// ValidateSpec reports whether s parses, without needing the real node
 // count (sweep validation runs before graphs are built).
-func ValidateSpec(spec string) error {
-	_, err := FromSpec(spec, 1<<31-1, 0)
+func ValidateSpec(s string) error {
+	_, err := FromSpec(s, 1<<31-1, 0)
 	return err
 }
 
-// fromOneSpec parses a single "+"-free event. It reuses the envdyn
-// key=value machinery (envdyn.ParseArgs reports envdyn.ErrBadSpec; wrap so
-// callers match this package's sentinel too).
+// fromOneSpec parses a single "+"-free event.
 func fromOneSpec(part string, seed uint64) (Event, error) {
-	kind, args, _ := strings.Cut(part, ":")
-	bad := func(msg string) error {
-		return fmt.Errorf("%w: %q: %s", ErrBadSpec, part, msg)
-	}
-	wrap := func(err error) error {
-		if err == nil {
-			return nil
-		}
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	switch kind {
+	r := spec.Keyed(ErrBadSpec, part)
+	var e Event
+	switch r.Kind() {
 	case "drain":
 		// The scenario drain takes exactly the envdyn drain's parameters:
-		// parse through the shared helper so the two grammars cannot
+		// read through the shared helper so the two grammars cannot
 		// silently diverge.
-		ed, err := envdyn.DrainFromArgs(part, args, seed)
-		if err != nil {
-			return nil, wrap(err)
-		}
-		return &Drain{At: ed.At, Ramp: ed.Ramp, Restore: ed.Restore, RestoreRamp: ed.RestoreRamp,
-			Frac: ed.Frac, Sel: ed.Sel, Seed: ed.Seed}, nil
-
+		ed := envdyn.ReadDrain(r, seed)
+		e = &Drain{At: ed.At, Ramp: ed.Ramp, Restore: ed.Restore, RestoreRamp: ed.RestoreRamp,
+			Frac: ed.Frac, Sel: ed.Sel, Seed: ed.Seed}
 	case "correlated":
-		kv, err := envdyn.ParseArgs(part, args, []string{"at", "until", "frac", "factor", "load", "sel"})
-		if err != nil {
-			return nil, wrap(err)
-		}
-		if err := kv.Require("at", "frac", "factor", "load"); err != nil {
-			return nil, wrap(err)
-		}
-		c := &Correlated{Seed: seed}
-		if c.At, err = kv.Int("at", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Until, err = kv.Int("until", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Frac, err = kv.Float("frac", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Factor, err = kv.Float("factor", 0); err != nil {
-			return nil, wrap(err)
-		}
-		load, err := kv.Int("load", 0)
-		if err != nil {
-			return nil, wrap(err)
-		}
-		c.Load = int64(load)
-		if c.Sel, err = kv.Sel(nodeset.Fast); err != nil {
-			return nil, wrap(err)
-		}
-		if c.At < 1 {
-			return nil, bad("at must be >= 1")
-		}
-		if c.Until != 0 && c.Until <= c.At {
-			return nil, bad("until must exceed at")
-		}
-		if c.Frac <= 0 || c.Frac > 1 {
-			return nil, bad("frac must be in (0, 1]")
-		}
-		if c.Factor <= 0 {
-			return nil, bad("factor must be > 0")
-		}
-		if c.Load < 0 {
-			return nil, bad("load must be >= 0")
-		}
-		return c, nil
-
+		r.Require("at", "frac", "factor", "load")
+		c := &Correlated{At: r.KeyInt("at", 0), Until: r.KeyInt("until", 0), Frac: r.KeyFloat("frac", 0),
+			Factor: r.KeyFloat("factor", 0), Load: int64(r.KeyInt("load", 0)), Sel: r.Sel(nodeset.Fast), Seed: seed}
+		r.Check(c.At >= 1, "at must be >= 1")
+		r.Check(c.Until == 0 || c.Until > c.At, "until must exceed at")
+		r.Check(c.Frac > 0 && c.Frac <= 1, "frac must be in (0, 1]")
+		r.Check(c.Factor > 0, "factor must be > 0")
+		r.Check(c.Load >= 0, "load must be >= 0")
+		e = c
 	case "cascade":
-		kv, err := envdyn.ParseArgs(part, args, []string{"at", "waves", "gap", "jitter", "frac", "factor", "load", "dur", "sel"})
-		if err != nil {
-			return nil, wrap(err)
-		}
-		if err := kv.Require("at", "waves", "gap", "frac", "factor"); err != nil {
-			return nil, wrap(err)
-		}
-		c := &Cascade{Seed: seed}
-		if c.At, err = kv.Int("at", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Waves, err = kv.Int("waves", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Gap, err = kv.Int("gap", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Jitter, err = kv.Int("jitter", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Frac, err = kv.Float("frac", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Factor, err = kv.Float("factor", 0); err != nil {
-			return nil, wrap(err)
-		}
-		load, err := kv.Int("load", 0)
-		if err != nil {
-			return nil, wrap(err)
-		}
-		c.Load = int64(load)
-		if c.Dur, err = kv.Int("dur", 0); err != nil {
-			return nil, wrap(err)
-		}
-		if c.Sel, err = kv.Sel(nodeset.Random); err != nil {
-			return nil, wrap(err)
-		}
-		if c.At < 1 {
-			return nil, bad("at must be >= 1")
-		}
-		if c.Waves < 1 {
-			return nil, bad("waves must be >= 1")
-		}
-		if c.Gap < 1 {
-			return nil, bad("gap must be >= 1")
-		}
-		if c.Jitter < 0 {
-			return nil, bad("jitter must be >= 0")
-		}
-		if c.Frac <= 0 || c.Frac > 1 {
-			return nil, bad("frac must be in (0, 1]")
-		}
-		if c.Factor <= 0 {
-			return nil, bad("factor must be > 0")
-		}
-		if c.Load < 0 {
-			return nil, bad("load must be >= 0")
-		}
-		if c.Dur < 0 {
-			return nil, bad("dur must be >= 0 (0 = forever)")
-		}
-		return c, nil
-
+		r.Require("at", "waves", "gap", "frac", "factor")
+		c := &Cascade{At: r.KeyInt("at", 0), Waves: r.KeyInt("waves", 0), Gap: r.KeyInt("gap", 0),
+			Jitter: r.KeyInt("jitter", 0), Frac: r.KeyFloat("frac", 0), Factor: r.KeyFloat("factor", 0),
+			Load: int64(r.KeyInt("load", 0)), Dur: r.KeyInt("dur", 0), Sel: r.Sel(nodeset.Random), Seed: seed}
+		r.Check(c.At >= 1, "at must be >= 1")
+		r.Check(c.Waves >= 1, "waves must be >= 1")
+		r.Check(c.Gap >= 1, "gap must be >= 1")
+		r.Check(c.Jitter >= 0, "jitter must be >= 0")
+		r.Check(c.Frac > 0 && c.Frac <= 1, "frac must be in (0, 1]")
+		r.Check(c.Factor > 0, "factor must be > 0")
+		r.Check(c.Load >= 0, "load must be >= 0")
+		r.Check(c.Dur >= 0, "dur must be >= 0 (0 = forever)")
+		e = c
 	default:
-		return nil, bad("unknown kind (drain|correlated|cascade)")
+		r.Fail("unknown kind (drain|correlated|cascade)")
 	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }

@@ -3,11 +3,9 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 )
 
 // ErrBadSpec reports a malformed workload spec.
@@ -33,204 +31,77 @@ var ErrBadSpec = errors.New("workload: invalid spec")
 // (bounds-checks fixed nodes); seed is the master seed the mutator's
 // counter streams derive from, with each composed part salted by its
 // position so parts stay statistically independent.
-func FromSpec(spec string, n int, seed uint64) (Mutator, error) {
-	if spec == "" {
+func FromSpec(s string, n int, seed uint64) (Mutator, error) {
+	if s == "" {
 		return nil, nil
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrBadSpec, n)
 	}
-	parts := strings.Split(spec, "+")
-	muts := make(Compose, 0, len(parts))
-	for pi, part := range parts {
-		m, err := fromOneSpec(part, n, randx.Mix(seed, uint64(pi)))
-		if err != nil {
-			return nil, err
-		}
-		muts = append(muts, m)
+	muts, err := spec.Split(ErrBadSpec, s, false, func(part string, i int) (Mutator, error) {
+		return fromOneSpec(part, n, randx.Mix(seed, uint64(i)))
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(muts) == 1 {
 		return muts[0], nil
 	}
-	return muts, nil
+	return Compose(muts), nil
 }
 
-// ValidateSpec reports whether spec parses, without needing the real node
+// ValidateSpec reports whether s parses, without needing the real node
 // count (sweep validation runs before graphs are built). Node indices are
 // only checked for well-formedness here; the real bounds check happens when
 // the cell builds its mutator against the actual graph.
-func ValidateSpec(spec string) error {
-	_, err := FromSpec(spec, 1<<31-1, 0)
+func ValidateSpec(s string) error {
+	_, err := FromSpec(s, 1<<31-1, 0)
 	return err
 }
 
 // fromOneSpec parses a single "+"-free part.
 func fromOneSpec(part string, n int, seed uint64) (Mutator, error) {
-	fields := strings.Split(part, ":")
-	bad := func(msg string) error {
-		return fmt.Errorf("%w: %q: %s", ErrBadSpec, part, msg)
-	}
-	argInt := func(i int) (int64, error) {
-		if i >= len(fields) {
-			return 0, bad(fmt.Sprintf("missing argument %d", i))
-		}
-		v, err := strconv.ParseInt(fields[i], 10, 64)
-		if err != nil {
-			return 0, bad(fmt.Sprintf("argument %d: %v", i, err))
-		}
-		return v, nil
-	}
-	optInt := func(i int, def int64) (int64, error) {
-		if i >= len(fields) {
-			return def, nil
-		}
-		return argInt(i)
-	}
-	tooMany := func(max int) error {
-		if len(fields) > max {
-			return bad(fmt.Sprintf("at most %d arguments", max-1))
-		}
-		return nil
-	}
-	switch fields[0] {
+	r := spec.Positional(ErrBadSpec, part)
+	var m Mutator
+	switch r.Kind() {
 	case "burst":
-		round, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		amount, err := argInt(2)
-		if err != nil {
-			return nil, err
-		}
-		node, err := optInt(3, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(4); err != nil {
-			return nil, err
-		}
-		if round < 1 {
-			return nil, bad("burst round must be >= 1")
-		}
-		if amount < 0 {
-			return nil, bad("amount must be >= 0 (departures are churn's job, which never drives a node below zero)")
-		}
-		if node < 0 || node >= int64(n) {
-			return nil, bad(fmt.Sprintf("node %d outside [0,%d)", node, n))
-		}
-		return NewBurst(int(round), int(node), amount), nil
+		round, amount, node := r.Int(1), r.Int(2), r.OptInt(3, 0)
+		r.Check(round >= 1, "burst round must be >= 1")
+		r.Check(amount >= 0, "amount must be >= 0 (departures are churn's job, which never drives a node below zero)")
+		r.Check(node >= 0 && node < n, "node %d outside [0,%d)", node, n)
+		m = NewBurst(round, node, int64(amount))
 	case "hotspot":
-		period, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		amount, err := argInt(2)
-		if err != nil {
-			return nil, err
-		}
-		node, err := optInt(3, -1)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(4); err != nil {
-			return nil, err
-		}
-		if period < 1 {
-			return nil, bad("hotspot period must be >= 1")
-		}
-		if amount < 0 {
-			return nil, bad("amount must be >= 0")
-		}
+		period, amount, node := r.Int(1), r.Int(2), r.OptInt(3, -1)
+		r.Check(period >= 1, "hotspot period must be >= 1")
+		r.Check(amount >= 0, "amount must be >= 0")
 		// Omitting NODE means "draw a node per burst"; an explicit negative
 		// is a typo, not a request for that mode.
-		if len(fields) > 3 && (node < 0 || node >= int64(n)) {
-			return nil, bad(fmt.Sprintf("node %d outside [0,%d)", node, n))
-		}
-		return NewHotspot(int(period), amount, int(node), seed), nil
+		r.Check(r.Len() < 3 || (node >= 0 && node < n), "node %d outside [0,%d)", node, n)
+		m = NewHotspot(period, int64(amount), node, seed)
 	case "poisson":
-		if len(fields) < 2 {
-			return nil, bad("missing argument 1")
-		}
-		rate, err := strconv.ParseFloat(fields[1], 64)
+		rate, until := r.Float(1), r.OptInt(2, 0)
 		// The sampler is O(rate) per node per round, so an absurd rate is a
 		// hang, not a simulation; 1e4 tokens/node/round is far beyond any
 		// sensible scenario.
-		if err != nil || rate < 0 || math.IsNaN(rate) || rate > 1e4 {
-			return nil, bad("rate must be a float in [0, 10000]")
-		}
-		until, err := optInt(2, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(3); err != nil {
-			return nil, err
-		}
-		if until < 0 {
-			return nil, bad("until must be >= 0 (0 = never stop)")
-		}
-		return NewPoisson(rate, int(until), seed), nil
+		r.Check(rate >= 0 && rate <= 1e4, "rate must be a float in [0, 10000]")
+		r.Check(until >= 0, "until must be >= 0 (0 = never stop)")
+		m = NewPoisson(rate, until, seed)
 	case "churn":
-		period, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		arrive, err := argInt(2)
-		if err != nil {
-			return nil, err
-		}
-		depart, err := argInt(3)
-		if err != nil {
-			return nil, err
-		}
-		until, err := optInt(4, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(5); err != nil {
-			return nil, err
-		}
-		if period < 1 {
-			return nil, bad("churn period must be >= 1")
-		}
-		if arrive < 0 || depart < 0 {
-			return nil, bad("arrive/depart must be >= 0")
-		}
-		if until < 0 {
-			return nil, bad("until must be >= 0 (0 = never stop)")
-		}
-		return NewChurn(int(period), arrive, depart, int(until), seed), nil
+		period, arrive, depart, until := r.Int(1), r.Int(2), r.Int(3), r.OptInt(4, 0)
+		r.Check(period >= 1, "churn period must be >= 1")
+		r.Check(arrive >= 0 && depart >= 0, "arrive/depart must be >= 0")
+		r.Check(until >= 0, "until must be >= 0 (0 = never stop)")
+		m = NewChurn(period, int64(arrive), int64(depart), until, seed)
 	case "adversary":
-		amount, err := argInt(1)
-		if err != nil {
-			return nil, err
-		}
-		top, err := optInt(2, 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := tooMany(3); err != nil {
-			return nil, err
-		}
-		if amount < 0 {
-			return nil, bad("amount must be >= 0")
-		}
-		if top < 1 {
-			return nil, bad("top must be >= 1")
-		}
-		return NewAdversary(amount, int(top)), nil
+		amount, top := r.Int(1), r.OptInt(2, 1)
+		r.Check(amount >= 0, "amount must be >= 0")
+		r.Check(top >= 1, "top must be >= 1")
+		m = NewAdversary(int64(amount), top)
 	default:
-		return nil, bad("unknown kind (burst|hotspot|poisson|churn|adversary)")
+		r.Fail("unknown kind (burst|hotspot|poisson|churn|adversary)")
 	}
-}
-
-// specName renders the canonical colon-joined spec form of a mutator.
-func specName(parts ...any) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteByte(':')
-		}
-		fmt.Fprintf(&b, "%v", p)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return b.String()
+	return m, nil
 }

@@ -26,6 +26,7 @@ import (
 	"math/rand/v2"
 
 	"diffusionlb/internal/randx"
+	"diffusionlb/internal/spec"
 )
 
 // Loads is a read-only view of a process's current per-node loads
@@ -116,7 +117,7 @@ func NewBurst(round, node int, amount int64) Burst {
 }
 
 // Name implements Mutator.
-func (b Burst) Name() string { return specName("burst", b.Round, b.Amount, b.Node) }
+func (b Burst) Name() string { return spec.Name("burst", b.Round, b.Amount, b.Node) }
 
 // Deltas implements Mutator. A Node outside [0, n) panics when the burst
 // fires rather than silently degrading the run to a static simulation;
@@ -151,9 +152,9 @@ func NewHotspot(period int, amount int64, node int, seed uint64) *Hotspot {
 // Name implements Mutator.
 func (h *Hotspot) Name() string {
 	if h.Node < 0 {
-		return specName("hotspot", h.Period, h.Amount)
+		return spec.Name("hotspot", h.Period, h.Amount)
 	}
-	return specName("hotspot", h.Period, h.Amount, h.Node)
+	return spec.Name("hotspot", h.Period, h.Amount, h.Node)
 }
 
 // Deltas implements Mutator. Like Burst, a fixed Node outside [0, n)
@@ -196,9 +197,9 @@ func NewPoisson(rate float64, until int, seed uint64) *Poisson {
 // Name implements Mutator.
 func (p *Poisson) Name() string {
 	if p.Until <= 0 {
-		return specName("poisson", p.Rate)
+		return spec.Name("poisson", p.Rate)
 	}
-	return specName("poisson", p.Rate, p.Until)
+	return spec.Name("poisson", p.Rate, p.Until)
 }
 
 // Deltas implements Mutator.
@@ -284,9 +285,9 @@ func NewChurn(period int, arrive, depart int64, until int, seed uint64) *Churn {
 // Name implements Mutator.
 func (c *Churn) Name() string {
 	if c.Until <= 0 {
-		return specName("churn", c.Period, c.Arrive, c.Depart)
+		return spec.Name("churn", c.Period, c.Arrive, c.Depart)
 	}
-	return specName("churn", c.Period, c.Arrive, c.Depart, c.Until)
+	return spec.Name("churn", c.Period, c.Arrive, c.Depart, c.Until)
 }
 
 // Deltas implements Mutator.
@@ -337,7 +338,7 @@ func NewAdversary(amount int64, top int) *Adversary {
 }
 
 // Name implements Mutator.
-func (a *Adversary) Name() string { return specName("adversary", a.Amount, a.Top) }
+func (a *Adversary) Name() string { return spec.Name("adversary", a.Amount, a.Top) }
 
 // Deltas implements Mutator.
 func (a *Adversary) Deltas(round int, loads Loads, out []int64) bool {
