@@ -52,11 +52,6 @@ func (r *ReachingDefs) DefsOf(use *ast.Ident) []Def {
 	return r.uses[use]
 }
 
-// AllDefs returns every recorded definition site of v (nil if untracked).
-func (r *ReachingDefs) AllDefs(v *types.Var) []Def {
-	return r.defs[v]
-}
-
 // Tracked reports whether v is a local of the analyzed function.
 func (r *ReachingDefs) Tracked(v *types.Var) bool {
 	_, ok := r.defs[v]

@@ -35,16 +35,6 @@ const (
 // this package: it must not change, or every SelRandom trajectory moves.)
 const saltSelect = 0x73656c_6563_0001 // "select"
 
-// Valid reports whether sel names a selection mode ("" counts as valid:
-// callers map it to their documented default).
-func Valid(sel string) bool {
-	switch sel {
-	case "", Fast, Slow, Random:
-		return true
-	}
-	return false
-}
-
 // Pick returns the selected node indices in ascending order:
 // max(1, round(frac·n)) nodes, capped at n, chosen by sel (any unknown
 // value, including "", falls back to Fast — callers validate upstream).

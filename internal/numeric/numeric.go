@@ -82,13 +82,6 @@ func Scale(a float64, v []float64) {
 	}
 }
 
-// Fill sets every entry of v to a.
-func Fill(v []float64, a float64) {
-	for i := range v {
-		v[i] = a
-	}
-}
-
 // Normalize scales v to unit Euclidean norm and returns the original norm.
 // A zero vector is left unchanged and 0 is returned.
 func Normalize(v []float64) float64 {
