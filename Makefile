@@ -56,16 +56,17 @@ verify: verify-static build test-short race
 
 # fuzz-smoke runs every fuzz target briefly (override FUZZTIME, e.g.
 # FUZZTIME=60s) — the executable proof behind the specroundtrip analyzer's
-# requirement that every FromSpec parser has a fuzz round-trip test.
+# requirement that every FromSpec parser has a fuzz round-trip test. It
+# finds the targets itself, from `go test -list` over ./... (which leaves
+# out the analysis fixtures under testdata/), so a new target runs too.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzSpeedsFromSpec$$' -fuzztime $(FUZZTIME) ./internal/hetero
-	$(GO) test -run '^$$' -fuzz '^FuzzPolicyFromSpec$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/envdyn
-	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/scenario
-	$(GO) test -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime $(FUZZTIME) ./internal/actor
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { printf '%s\n' "$$list"; exit 1; }; \
+	printf '%s\n' "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok / { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" < /dev/null || exit 1; \
+	done
 
 # examples-smoke builds every program under examples/ (they have no tests
 # of their own, so verify only compiles them) and runs each binary from its
