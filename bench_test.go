@@ -194,10 +194,17 @@ func BenchmarkDiscreteStepSOS(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscreteStepRounders steps a 64×64 torus SOS run from uniform
+// random load (avg 1000), so from the first round nearly every node has
+// positive flows to round, as in a loaded network.
 func BenchmarkDiscreteStepRounders(b *testing.B) {
 	for _, name := range []string{"randomized", "floor", "nearest", "bernoulli"} {
 		b.Run(name, func(b *testing.B) {
-			sys, x0 := torusBench(b, 64)
+			sys, _ := torusBench(b, 64)
+			x0, err := diffusionlb.UniformRandomLoad(64*64, 1000*64*64, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			r, _ := diffusionlb.RounderByName(name)
 			proc, err := sys.NewDiscrete(diffusionlb.SOS, r, 1, x0)
 			if err != nil {
@@ -337,17 +344,34 @@ func BenchmarkGraphConstruction(b *testing.B) {
 	})
 }
 
+// BenchmarkRandomizedRounding rounds one node's positive flows per
+// iteration, cycling through a fixed-seed table of 4096 vectors of 1–8
+// entries with fractional mass from a few hundredths to nearly one per
+// entry, so neither the token count nor the send decisions repeat in a
+// pattern the branch predictor can learn.
 func BenchmarkRandomizedRounding(b *testing.B) {
-	yhat := []float64{1.3, 0.25, 2.45, 0.9}
-	out := make([]int64, len(yhat))
+	gen := randx.New(7)
+	table := make([][]float64, 4096)
+	for t := range table {
+		yhat := make([]float64, 1+gen.IntN(8))
+		mass := gen.Float64() // a node's typical fractional part
+		for k := range yhat {
+			yhat[k] = float64(gen.IntN(3)) + mass*gen.Float64() + 0.01
+		}
+		table[t] = yhat
+	}
+	out := make([]int64, 8)
 	rng := randx.New(1)
 	r := core.RandomizedRounder{}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := range out {
-			out[k] = 0
+		yhat := table[i%len(table)]
+		o := out[:len(yhat)]
+		for k := range o {
+			o[k] = 0
 		}
-		r.RoundNode(yhat, out, rng)
+		r.RoundNode(yhat, o, rng)
 	}
 }
 
