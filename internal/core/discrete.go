@@ -227,10 +227,10 @@ func (d *Discrete) passZ(_, lo, hi int) {
 //
 //lbvet:hotpath per-round fused kernel over every arc
 func (d *Discrete) passRound(s, lo, hi int) {
-	// Only offsets and heads are hoisted: the cold tie and write-back paths
-	// read arcs and mates through d, so the arc loop keeps few slices live
-	// and its accumulators stay in registers.
-	offsets, heads := d.offsets, d.heads
+	// The cold tie and write-back paths read arcs and mates through d, so
+	// the arc loops keep few slices live and their counters stay in
+	// registers.
+	offsets, heads, sched := d.offsets, d.heads, d.scheduled
 	alpha := d.stepAlpha
 	prev, next := d.flows, d.flowsNext
 	second, sigma, beta := d.stepSecond, d.stepSigma, d.stepBeta
@@ -239,20 +239,26 @@ func (d *Discrete) passRound(s, lo, hi int) {
 	pcg, rng := sc.pcg, sc.rng
 	for i := lo; i < hi; i++ {
 		zi := d.z[i]
-		cnt := 0
 		for a := offsets[i]; a < offsets[i+1]; a++ {
 			grad := alpha[a] * (zi - d.z[heads[a]])
 			y := grad
 			if second {
 				y = sigma*float64(prev[a]) + beta*grad
 			}
-			d.scheduled[a] = y
-			if y > 0 {
-				vals[cnt] = y
-				out[cnt] = 0
-				arcIdx[cnt] = a
-				cnt++
-			} else if y == 0 && int32(i) < d.arcs[a] {
+			sched[a] = y
+		}
+		// Compact the node's positive flows once all of them are computed,
+		// so no store address waits on a gathered z[heads[a]]: store every
+		// arc and advance the count only past positive ones, with no branch
+		// on y's sign.
+		cnt := 0
+		for a := offsets[i]; a < offsets[i+1]; a++ {
+			y := sched[a]
+			vals[cnt] = y
+			out[cnt] = 0
+			arcIdx[cnt] = a
+			cnt += positive(y)
+			if y == 0 && int32(i) < d.arcs[a] {
 				next[d.mates[a]] = 0
 				next[a] = 0
 			}
@@ -271,6 +277,16 @@ func (d *Discrete) passRound(s, lo, hi int) {
 			next[a] = out[k]
 		}
 	}
+}
+
+// positive returns 1 if y > 0 and 0 otherwise; the compiler turns the
+// select into a flag set (SETHI on amd64, CSET on arm64), not a branch.
+func positive(y float64) int {
+	p := 0
+	if y > 0 {
+		p = 1
+	}
+	return p
 }
 
 // passApply applies the round's flows to one shard's loads (plus a halo

@@ -36,6 +36,10 @@ var _ Rounder = RandomizedRounder{}
 
 // RoundNode implements Rounder.
 //
+// No branch depends on a draw: a token's destination is the count of
+// fractional prefix sums ≤ u before the last fractional arc, and its send
+// decision (u < r) is a 0/1 add to that destination.
+//
 //lbvet:hotpath called once per node per round by the discrete pass
 func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) {
 	var r float64
@@ -43,8 +47,9 @@ func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) 
 	for k, v := range yhat {
 		fl := math.Floor(v)
 		out[k] = int64(fl)
-		if f := v - fl; f > 0 {
-			r += f
+		f := v - fl // exact, and +0 for an integral v, so r += f adds nothing
+		r += f
+		if f > 0 {
 			last = k
 		}
 	}
@@ -53,31 +58,35 @@ func (RandomizedRounder) RoundNode(yhat []float64, out []int64, rng *rand.Rand) 
 	}
 	ceilR := math.Ceil(r)
 	tokens := int(ceilR)
+	head := yhat[:last]
 	for b := 0; b < tokens; b++ {
 		// u ~ U[0, ⌈r⌉); u < r selects a destination by cumulative
-		// fractional mass, u >= r keeps the token at the node.
-		u := rng.Float64() * ceilR
-		if u >= r {
-			continue
-		}
+		// fractional mass, u >= r keeps the token at the node. float64(...)
+		// rounds the product, so arm64 cannot fuse it into below's
+		// subtraction (make fma-check).
+		u := float64(rng.Float64() * ceilR)
 		// Re-accumulating the fractional parts can undershoot r in floating
 		// point, so a draw with u < r must never fall off the end of the
 		// cumulative scan: the last positive-fraction arc owns the whole
 		// remainder [cum(last−1), r) — equivalent to clamping its cumulative
-		// entry to r — so every selected token is sent, never dropped.
-		dst := last
+		// entry to r — so every selected token is sent, never dropped. The
+		// prefix sums never decrease, so counting those ≤ u before the last
+		// fractional arc finds the first arc whose prefix sum exceeds u, or
+		// the last arc if none does.
+		dst := 0
 		var cum float64
-		for k := 0; k < last; k++ {
-			v := yhat[k]
+		for _, v := range head {
 			cum += v - math.Floor(v)
-			if u < cum {
-				dst = k
-				break
-			}
+			dst += 1 - below(u, cum)
 		}
-		out[dst]++
+		out[dst] += int64(below(u, r))
 	}
 }
+
+// below returns 1 if a < b and 0 otherwise, without a branch: it is the
+// sign bit of a−b, which IEEE arithmetic gets right for every pair of
+// finite operands (a−b is +0, not −0, when a == b).
+func below(a, b float64) int { return int(math.Float64bits(a-b) >> 63) }
 
 // Name implements Rounder.
 func (RandomizedRounder) Name() string { return "randomized" }
