@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fuzz-smoke examples-smoke bench bench-smoke bench-scale perfbench-check perfbench-digests clean
+.PHONY: all build test test-short lint lint-canary verify-static race fmt-check vet verify fma-check fuzz-smoke examples-smoke bench bench-smoke bench-scale perfbench-check perfbench-digests clean
 
 all: build
 
@@ -53,6 +53,23 @@ race:
 # suite and the race+invariants pass.
 verify: verify-static build test-short race
 	@echo verify OK
+
+# fma-check keeps the engine's floating point the same on every
+# architecture. On arm64 the Go compiler may fuse x*y + z into one
+# multiply-add that rounds once, where amd64 rounds the product first, so
+# Ŷ could differ in its last bit from the goldens, which are recorded on
+# amd64. An explicit float64(x*y) rounds the product and stops the fusion.
+# The target compiles the engine packages for arm64 with -S and fails,
+# naming file:line, on any fused multiply-add in their own source files.
+FMA_PKGS = ./internal/core ./internal/actor
+fma-check:
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { printf '%s\n' "$$asm"; exit 1; }; \
+	printf '%s\n' "$$asm" | grep -q 'core\.(\*Discrete)\.passRound STEXT' || { echo "fma-check: no arm64 assembly for passRound"; exit 1; }; \
+	dirs="$$(echo $(FMA_PKGS) | sed 's|\./||g; s| |\||g')"; \
+	hits="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' | \
+		sed -n 's/.*(\([^()]*\.go:[0-9]*\)).*[[:space:]]\(F[A-Z]*D\)[[:space:]].*/\1 \2/p' | grep -E "/($$dirs)/[^/]*\.go:" | sort -u)"; \
+	if [ -n "$$hits" ]; then echo "fma-check: fused multiply-add on arm64:"; printf '%s\n' "$$hits"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add in $(FMA_PKGS) on arm64"
 
 # fuzz-smoke runs every fuzz target briefly (override FUZZTIME, e.g.
 # FUZZTIME=60s) — the executable proof behind the specroundtrip analyzer's

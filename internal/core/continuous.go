@@ -134,7 +134,7 @@ func (c *Continuous) passFlowApply(s, lo, hi int) {
 			grad := alpha[a] * (zi - z[arcs[a]])
 			f := grad
 			if second {
-				f = sigma*flows[a] + beta*grad
+				f = float64(sigma*flows[a]) + float64(beta*grad) // no fused multiply-add, as in Discrete
 			}
 			flows[a] = f
 			outSum += f

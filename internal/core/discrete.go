@@ -243,7 +243,9 @@ func (d *Discrete) passRound(s, lo, hi int) {
 			grad := alpha[a] * (zi - d.z[heads[a]])
 			y := grad
 			if second {
-				y = sigma*float64(prev[a]) + beta*grad
+				// float64(...) rounds each product, which keeps arm64 from
+				// fusing them into one multiply-add (make fma-check).
+				y = float64(sigma*float64(prev[a])) + float64(beta*grad)
 			}
 			sched[a] = y
 		}
