@@ -32,17 +32,17 @@ type Real interface {
 }
 
 // MaxLocalDiff returns φ_local, the maximum load difference across any edge.
+// Each undirected edge is visited once, from its lower endpoint: adjacency
+// lists are strictly increasing (graph.Validate), so a node's higher
+// neighbors are the tail of its list, which the scan walks from the end.
 func MaxLocalDiff[T Real](g *graph.Graph, x []T) float64 {
 	offsets, arcs := g.Offsets(), g.Arcs()
 	var worst float64
 	for i := 0; i < g.NumNodes(); i++ {
 		xi := float64(x[i])
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			j := arcs[a]
-			if int32(i) < j { // each undirected edge once
-				if d := math.Abs(xi - float64(x[j])); d > worst {
-					worst = d
-				}
+		for a := offsets[i+1] - 1; a >= offsets[i] && arcs[a] > int32(i); a-- {
+			if d := math.Abs(xi - float64(x[arcs[a]])); d > worst {
+				worst = d
 			}
 		}
 	}
@@ -62,12 +62,10 @@ func HeteroMaxLocalDiff[T Real](g *graph.Graph, x []T, speeds *hetero.Speeds) fl
 	var worst float64
 	for i := 0; i < g.NumNodes(); i++ {
 		zi := float64(x[i]) / speeds.Of(i)
-		for a := offsets[i]; a < offsets[i+1]; a++ {
+		for a := offsets[i+1] - 1; a >= offsets[i] && arcs[a] > int32(i); a-- { // higher neighbors, as in MaxLocalDiff
 			j := arcs[a]
-			if int32(i) < j { // each undirected edge once
-				if d := math.Abs(zi - float64(x[j])/speeds.Of(int(j))); d > worst {
-					worst = d
-				}
+			if d := math.Abs(zi - float64(x[j])/speeds.Of(int(j))); d > worst {
+				worst = d
 			}
 		}
 	}
