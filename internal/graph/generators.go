@@ -142,13 +142,18 @@ func Complete(n int) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: Complete(%d): %w", n, ErrBadParameter)
 	}
+	return fromEdges(fmt.Sprintf("complete:%d", n), n, completeEdges(n))
+}
+
+// completeEdges lists every pair i < j of n nodes.
+func completeEdges(n int) [][2]int32 {
 	edges := make([][2]int32, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			edges = append(edges, [2]int32{int32(i), int32(j)})
 		}
 	}
-	return fromEdges(fmt.Sprintf("complete:%d", n), n, edges)
+	return edges
 }
 
 // Star returns the star graph with one hub (node 0) and n-1 leaves.
@@ -218,13 +223,19 @@ func orient(u, v int32) [2]int32 {
 //
 // The generator pairs stubs uniformly at random and then repairs self-loops
 // and parallel edges by degree-preserving edge swaps with uniformly chosen
-// partner edges, which keeps the graph exactly d-regular.
+// partner edges, which keeps the graph exactly d-regular. For d = n−1 it
+// returns the complete graph, the only (n−1)-regular simple graph, which
+// the swaps cannot reach.
 func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	if n < 2 || d < 1 || d >= n || (n*d)%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular(%d,%d): %w", n, d, ErrBadParameter)
 	}
 	if int64(n)*int64(d) > int64(1)<<31-2 {
 		return nil, ErrTooLarge
+	}
+	name := fmt.Sprintf("regular:%d:%d", n, d)
+	if d == n-1 {
+		return fromEdges(name, n, completeEdges(n))
 	}
 	rng := randx.New(seed)
 
@@ -261,11 +272,12 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 
 	// Repair pass: each bad pair (u,v) is resolved by picking a random good
 	// edge (a,b) and rewiring to (u,a), (v,b) when both are new simple edges.
+	// Without a good edge no swap exists.
 	const maxAttempts = 1 << 22
 	attempts := 0
 	for len(bad) > 0 {
-		if attempts++; attempts > maxAttempts {
-			return nil, fmt.Errorf("graph: RandomRegular(%d,%d): repair did not converge", n, d)
+		if attempts++; attempts > maxAttempts || len(edges) == 0 {
+			return nil, fmt.Errorf("graph: RandomRegular(%d,%d): repair did not converge: %w", n, d, ErrBadParameter)
 		}
 		e := bad[len(bad)-1]
 		u, v := e[0], e[1]
@@ -292,7 +304,7 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		edges = append(edges, e2)
 		bad = bad[:len(bad)-1]
 	}
-	return fromEdges(fmt.Sprintf("regular:%d:%d", n, d), n, edges)
+	return fromEdges(name, n, edges)
 }
 
 // GeometricOptions configures RandomGeometric.

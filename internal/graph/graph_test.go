@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +222,25 @@ func TestRandomRegular(t *testing.T) {
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatal("seeded RandomRegular not deterministic")
+		}
+	}
+}
+
+// TestRandomRegularComplete checks d = n−1, where the complete graph is the
+// only (n−1)-regular simple graph: every seed must return its edge set
+// under the regular name, with no repair search (which used to panic with
+// no good edge to swap, or spend its whole budget and fail).
+func TestRandomRegularComplete(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		want := must(t)(Complete(n)).Edges()
+		for seed := uint64(0); seed < 20; seed++ {
+			g := must(t)(RandomRegular(n, n-1, seed))
+			if name := fmt.Sprintf("regular:%d:%d", n, n-1); g.Name() != name {
+				t.Fatalf("RandomRegular(%d,%d,%d).Name() = %q, want %q", n, n-1, seed, g.Name(), name)
+			}
+			if got := g.Edges(); !slices.Equal(got, want) {
+				t.Fatalf("RandomRegular(%d,%d,%d) edges %v, want complete:%d %v", n, n-1, seed, got, n, want)
+			}
 		}
 	}
 }
