@@ -52,7 +52,7 @@ func TestSpecDigests(t *testing.T) {
 		{"graph", func(s string) parsed {
 			g, err := graph.FromSpec(s, 1)
 			return named(g, g == nil, err)
-		}, []error{graph.ErrBadParameter, graph.ErrTooLarge}, "6764cab4dedc65d8"},
+		}, []error{graph.ErrBadParameter, graph.ErrTooLarge}, "cb778007a8aa3c3b"},
 		{"speeds", func(s string) parsed {
 			sp, err := hetero.SpeedsFromSpec(s, 32, 1)
 			return named(sp, sp == nil, err)
