@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzFromSpec: no input may panic — malformed specs must error — and every
-// accepted spec must have a canonical Name that reparses, under the same
-// seed, to a graph of identical name and shape.
+// accepted spec must build a graph that passes Validate and has a canonical
+// Name that reparses, under the same seed, to a graph of identical name and
+// shape.
 func FuzzFromSpec(f *testing.F) {
 	for _, s := range []string{
 		"torus2d:8x8", "torus:4x4x4", "hypercube:6", "regular:12:4",
@@ -24,6 +25,9 @@ func FuzzFromSpec(f *testing.F) {
 		g, err := FromSpec(spec, 1)
 		if err != nil {
 			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted spec %q built an invalid graph: %v", spec, err)
 		}
 		name := g.Name()
 		again, err := FromSpec(name, 1)
