@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -251,24 +251,15 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
 
-	type edge = [2]int32
+	// Pair consecutive stubs. The first occurrence of each simple pair, in
+	// stream order, becomes an edge; self-loops and repeats are bad.
 	m := len(stubs) / 2
-	edges := make([]edge, 0, m)
-	seen := make(map[edge]struct{}, m)
-	var bad []edge // self-loops or duplicates, to be repaired by swaps
-	for i := 0; i < m; i++ {
-		e := orient(stubs[2*i], stubs[2*i+1])
-		if e[0] == e[1] {
-			bad = append(bad, e)
-			continue
-		}
-		if _, dup := seen[e]; dup {
-			bad = append(bad, e)
-			continue
-		}
-		seen[e] = struct{}{}
-		edges = append(edges, e)
+	pairs := make([]edge, m)
+	for i := range pairs {
+		pairs[i] = orient(stubs[2*i], stubs[2*i+1])
 	}
+	seen := &edgeSet{d: d, hi: stubs, size: make([]int32, n)} // reuses the paired stubs
+	edges, bad := seen.split(pairs)
 
 	// Repair pass: each bad pair (u,v) is resolved by picking a random good
 	// edge (a,b) and rewiring to (u,a), (v,b) when both are new simple edges.
@@ -287,24 +278,110 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 			a, b = b, a
 		}
 		e1, e2 := orient(u, a), orient(v, b)
-		if u == a || v == b || e1 == e2 {
+		if u == a || v == b || e1 == e2 || seen.has(e1) || seen.has(e2) {
 			continue
 		}
-		if _, dup := seen[e1]; dup {
-			continue
-		}
-		if _, dup := seen[e2]; dup {
-			continue
-		}
-		// Commit: replace (a,b) with (u,a) and (v,b).
-		delete(seen, edges[k])
+		// Commit: replace (a,b) with (u,a) and (v,b). Removing first keeps
+		// every node within its d slots.
+		seen.remove(edges[k])
+		seen.insert(e1)
+		seen.insert(e2)
 		edges[k] = e1
-		seen[e1] = struct{}{}
-		seen[e2] = struct{}{}
 		edges = append(edges, e2)
 		bad = bad[:len(bad)-1]
 	}
 	return fromEdges(name, n, edges)
+}
+
+// edge is an undirected edge {e[0], e[1]}, stored with e[0] <= e[1].
+type edge = [2]int32
+
+// edgeSet is a set of simple edges of a graph whose nodes have at most d
+// edges each. Node u owns d slots; the first size[u] of them hold, sorted,
+// the higher ends of u's edges whose lower end is u. A lookup is a binary
+// search in one node's slots, and an insert or a delete shifts within them,
+// so the set needs no hashing and costs one int32 per stub.
+type edgeSet struct {
+	d    int
+	hi   []int32 // len n*d
+	size []int32 // len n
+}
+
+// slots returns node u's used slots, with capacity for all d of them.
+func (s *edgeSet) slots(u int32) []int32 {
+	off := int(u) * s.d
+	return s.hi[off : off+int(s.size[u]) : off+s.d]
+}
+
+// split fills the empty set with the distinct simple pairs of a stream in
+// which no node is the lower end of more than d pairs. It returns the
+// first occurrence of each distinct pair, compacted in place in stream
+// order, and the rest (self-loops and repeats), also in stream order.
+func (s *edgeSet) split(pairs []edge) (firsts, rest []edge) {
+	// Each node's slots receive the higher ends of its pairs in stream
+	// order, so a repeat sits after its first occurrence; mark it ^v.
+	for _, e := range pairs {
+		if u := e[0]; u != e[1] {
+			s.hi[int(u)*s.d+int(s.size[u])] = e[1]
+			s.size[u]++
+		}
+	}
+	mark := make([]int32, len(s.size)) // mark[v] = u+1 once u's slots hold v
+	for u := range s.size {
+		b := s.slots(int32(u))
+		for k, v := range b {
+			if mark[v] == int32(u)+1 {
+				b[k] = ^v
+			} else {
+				mark[v] = int32(u) + 1
+			}
+		}
+	}
+	// Replaying the stream meets each node's slots in order again.
+	next := mark
+	clear(next)
+	firsts = pairs[:0]
+	for _, e := range pairs {
+		if u := e[0]; u != e[1] {
+			v := s.hi[int(u)*s.d+int(next[u])]
+			next[u]++
+			if v >= 0 {
+				firsts = append(firsts, e)
+				continue
+			}
+		}
+		rest = append(rest, e)
+	}
+	for u := range s.size {
+		b := slices.DeleteFunc(s.slots(int32(u)), func(v int32) bool { return v < 0 })
+		slices.Sort(b)
+		s.size[u] = int32(len(b))
+	}
+	return firsts, rest
+}
+
+// has reports whether e is in the set.
+func (s *edgeSet) has(e edge) bool {
+	_, ok := slices.BinarySearch(s.slots(e[0]), e[1])
+	return ok
+}
+
+// insert adds e, which must not be in the set.
+func (s *edgeSet) insert(e edge) {
+	b := s.slots(e[0])
+	k, _ := slices.BinarySearch(b, e[1])
+	b = b[:len(b)+1] // within the node's d slots
+	copy(b[k+1:], b[k:])
+	b[k] = e[1]
+	s.size[e[0]]++
+}
+
+// remove deletes e, which must be in the set.
+func (s *edgeSet) remove(e edge) {
+	b := s.slots(e[0])
+	k, _ := slices.BinarySearch(b, e[1])
+	copy(b[k:], b[k+1:])
+	s.size[e[0]]--
 }
 
 // GeometricOptions configures RandomGeometric.
@@ -337,30 +414,43 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
 
-	// Cell-bucketed neighbor search: cells of side r, check 3x3 blocks.
-	cells := int(side/r) + 1
-	bucket := make(map[[2]int][]int32, n)
-	cellOf := func(p Point) [2]int {
-		cx, cy := int(p.X/r), int(p.Y/r)
-		if cx >= cells {
-			cx = cells - 1
-		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		return [2]int{cx, cy}
+	// Cell-bucketed neighbor search: cells of side r, check 3x3 blocks. A
+	// radius so small that there would be more than about 4n cells gets
+	// fewer, wider cells instead, which still hold every pair within r in
+	// adjacent cells.
+	cells, cs := int(side/r)+1, r
+	if limit := 2*int(side) + 2; cells > limit {
+		cells, cs = limit, side/float64(limit)
 	}
+	cellOf := func(p Point) (int, int) {
+		return min(int(p.X/cs), cells-1), min(int(p.Y/cs), cells-1)
+	}
+	// Counting sort of the nodes by cell, cell cx*cells+cy holding
+	// members[start[c]:start[c+1]] in increasing node order.
+	start := make([]int32, cells*cells+1)
+	cell := make([]int32, n)
 	for i, p := range pts {
-		c := cellOf(p)
-		bucket[c] = append(bucket[c], int32(i))
+		cx, cy := cellOf(p)
+		cell[i] = int32(cx*cells + cy)
+		start[cell[i]+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	members := make([]int32, n)
+	next := slices.Clone(start[:cells*cells])
+	for i, c := range cell {
+		members[next[c]] = int32(i)
+		next[c]++
 	}
 	r2 := r * r
 	var edges [][2]int32
 	for i := 0; i < n; i++ {
-		c := cellOf(pts[i])
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range bucket[[2]int{c[0] + dx, c[1] + dy}] {
+		cx, cy := cellOf(pts[i])
+		for x := max(cx-1, 0); x <= min(cx+1, cells-1); x++ {
+			for y := max(cy-1, 0); y <= min(cy+1, cells-1); y++ {
+				c := x*cells + y
+				for _, j := range members[start[c]:start[c+1]] {
 					if j <= int32(i) {
 						continue
 					}
@@ -432,25 +522,10 @@ func connectToGiant(g *Graph, pts []Point, edges [][2]int32) (*Graph, error) {
 		edges = append(edges, orient(bu, bv))
 	}
 	// Patching is part of the deterministic (spec, seed) construction, so
-	// the patched graph keeps the canonical spec as its name.
-	return fromEdges(g.Name(), g.NumNodes(), dedupe(edges))
-}
-
-// dedupe removes duplicate undirected edges from the list.
-func dedupe(edges [][2]int32) [][2]int32 {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	// the patched graph keeps the canonical spec as its name. Each patch
+	// edge joins a different component to the giant one, so none repeats
+	// an edge.
+	return fromEdges(g.Name(), g.NumNodes(), edges)
 }
 
 // Point is a 2-D coordinate used by the random geometric graph generator.

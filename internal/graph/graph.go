@@ -19,7 +19,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Common construction errors.
@@ -101,24 +101,25 @@ func (b *Builder) Build(name string) (*Graph, error) {
 	return fromEdges(name, b.n, b.edges)
 }
 
-// fromEdges constructs the CSR arrays from a deduplicated edge list.
+// fromEdges constructs the CSR arrays from a list of distinct edges in
+// linear passes: count the degrees, scatter both arcs of every edge, then
+// sort each adjacency list and assign its mates. A self-loop or a repeated
+// edge in the list is an error.
 func fromEdges(name string, n int, edges [][2]int32) (*Graph, error) {
 	arcCount := 2 * len(edges)
 	if int64(arcCount) > int64(1)<<31-1 {
 		return nil, ErrTooLarge
 	}
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
 	offsets := make([]int32, n+1)
+	for _, e := range edges {
+		offsets[e[0]+1]++
+		offsets[e[1]+1]++
+	}
 	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
+		offsets[i+1] += offsets[i]
 	}
 	neighbors := make([]int32, arcCount)
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
+	cursor := slices.Clone(offsets[:n])
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		neighbors[cursor[u]] = v
@@ -126,25 +127,25 @@ func fromEdges(name string, n int, edges [][2]int32) (*Graph, error) {
 		neighbors[cursor[v]] = u
 		cursor[v]++
 	}
-	// Sort each adjacency list so neighbor iteration order is deterministic
-	// and mate lookup can use binary search during construction.
-	for i := 0; i < n; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		s := neighbors[lo:hi]
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	}
+	// Visiting tails in increasing order meets each node's in-arcs in the
+	// order of its sorted list, so the mate of arc i->j is the next unused
+	// position of j's list, and one cursor per node assigns every mate.
+	copy(cursor, offsets[:n])
 	mate := make([]int32, arcCount)
 	for i := 0; i < n; i++ {
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			j := neighbors[a]
-			// Find the arc j -> i by binary search in j's sorted list.
-			lo, hi := offsets[j], offsets[j+1]
-			s := neighbors[lo:hi]
-			k := sort.Search(len(s), func(x int) bool { return s[x] >= int32(i) })
-			if k == len(s) || s[k] != int32(i) {
-				return nil, fmt.Errorf("graph: internal error: missing reverse arc %d->%d", j, i)
+		s := neighbors[offsets[i]:offsets[i+1]]
+		slices.Sort(s)
+		prev := int32(-1)
+		for k, j := range s {
+			if j == int32(i) {
+				return nil, fmt.Errorf("graph: internal error: self-loop at node %d", i)
 			}
-			mate[a] = lo + int32(k)
+			if j == prev {
+				return nil, fmt.Errorf("graph: internal error: repeated edge {%d,%d}", i, j)
+			}
+			prev = j
+			mate[offsets[i]+int32(k)] = cursor[j]
+			cursor[j]++
 		}
 	}
 	g := &Graph{
@@ -224,9 +225,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.NumNodes() || v >= g.NumNodes() || u == v {
 		return false
 	}
-	s := g.Neighbors(u)
-	k := sort.Search(len(s), func(x int) bool { return s[x] >= int32(v) })
-	return k < len(s) && s[k] == int32(v)
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return ok
 }
 
 // Edges returns the undirected edge list with u < v, in deterministic order.

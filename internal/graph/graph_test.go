@@ -403,6 +403,21 @@ func TestPropertyRandomGraphsValid(t *testing.T) {
 	}
 }
 
+// TestFromEdgesRejectsLoopsAndRepeats: the mate index assumes a simple
+// graph, so a self-loop or an edge listed twice (in either orientation)
+// must fail the build instead of pairing two arcs with one mate.
+func TestFromEdgesRejectsLoopsAndRepeats(t *testing.T) {
+	for _, edges := range [][][2]int32{
+		{{0, 1}, {1, 2}, {0, 1}},
+		{{0, 1}, {1, 0}},
+		{{0, 1}, {2, 2}},
+	} {
+		if g, err := fromEdges("bad", 3, edges); err == nil {
+			t.Errorf("fromEdges(%v) built %v, want an error", edges, g)
+		}
+	}
+}
+
 // Property: mate involution means iterating arcs twice covers each edge once
 // per direction.
 func TestPropertyMateInvolution(t *testing.T) {
