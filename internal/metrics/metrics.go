@@ -185,7 +185,10 @@ func Discrepancy[T Real](x []T) float64 {
 
 // Potential returns φ_t = Σ_v (x_v − x̄_v)² against the proportional targets
 // derived from speeds (uniform when speeds is nil). The paper plots φ_t/n;
-// callers divide as needed.
+// callers divide as needed. Each square is rounded before it is summed, so
+// arm64 cannot fuse it into a multiply-add: core's switch policies compare
+// φ_t against thresholds and must switch in the same round on every
+// architecture.
 func Potential[T Real](x []T, speeds *hetero.Speeds) float64 {
 	if len(x) == 0 {
 		return 0
@@ -196,14 +199,14 @@ func Potential[T Real](x []T, speeds *hetero.Speeds) float64 {
 		avg := total / float64(len(x))
 		for _, v := range x {
 			d := float64(v) - avg
-			sum += d * d
+			sum += float64(d * d)
 		}
 		return sum
 	}
 	sSum = speeds.Sum()
 	for i, v := range x {
 		d := float64(v) - total*speeds.Of(i)/sSum
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }
@@ -270,7 +273,7 @@ func Deviation2[T Real, U Real](a []T, b []U) (float64, error) {
 	var sum float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		sum += d * d
+		sum += float64(d * d) // rounded, as in Potential
 	}
 	return math.Sqrt(sum), nil
 }
