@@ -320,28 +320,41 @@ func BenchmarkPowerIterationLambda(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphConstruction builds one graph per iteration, the random
+// families at seed i+1. random-regular-n262144-d8 is the regular-actor
+// perfbench graph; n1000-d900 is dense enough that the stub pairing leaves
+// many repeated pairs and the swap repair runs long; rgg-n65536 needs the
+// giant-component patch and so builds its CSR arrays twice.
 func BenchmarkGraphConstruction(b *testing.B) {
-	b.Run("torus-256x256", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffusionlb.Torus2D(256, 256); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		build func(seed uint64) (*diffusionlb.Graph, error)
+	}{
+		{"torus-256x256", func(uint64) (*diffusionlb.Graph, error) { return diffusionlb.Torus2D(256, 256) }},
+		{"hypercube-2^14", func(uint64) (*diffusionlb.Graph, error) { return diffusionlb.Hypercube(14) }},
+		{"random-regular-n10k-d12", func(seed uint64) (*diffusionlb.Graph, error) {
+			return diffusionlb.RandomRegular(10000, 12, seed)
+		}},
+		{"random-regular-n262144-d8", func(seed uint64) (*diffusionlb.Graph, error) {
+			return diffusionlb.RandomRegular(262144, 8, seed)
+		}},
+		{"random-regular-n1000-d900", func(seed uint64) (*diffusionlb.Graph, error) {
+			return diffusionlb.RandomRegular(1000, 900, seed)
+		}},
+		{"rgg-n65536", func(seed uint64) (*diffusionlb.Graph, error) {
+			g, _, err := diffusionlb.RandomGeometric(65536, seed, diffusionlb.GeometricOptions{})
+			return g, err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.build(uint64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("hypercube-2^14", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffusionlb.Hypercube(14); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("random-regular-n10k-d12", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffusionlb.RandomRegular(10000, 12, uint64(i+1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkRandomizedRounding rounds one node's positive flows per
