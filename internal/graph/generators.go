@@ -319,7 +319,7 @@ func (s *edgeSet) slots(u int32) []int32 {
 // order, and the rest (self-loops and repeats), also in stream order.
 func (s *edgeSet) split(pairs []edge) (firsts, rest []edge) {
 	// Each node's slots receive the higher ends of its pairs in stream
-	// order, so a repeat sits after its first occurrence; mark it ^v.
+	// order, so a repeat sits after its first occurrence. Mark repeats ^v.
 	for _, e := range pairs {
 		if u := e[0]; u != e[1] {
 			s.hi[int(u)*s.d+int(s.size[u])] = e[1]
@@ -337,7 +337,8 @@ func (s *edgeSet) split(pairs []edge) (firsts, rest []edge) {
 			}
 		}
 	}
-	// Replaying the stream meets each node's slots in order again.
+	// Replaying the stream meets each node's slots in order again. Then
+	// only the first occurrences stay, sorted.
 	next := mark
 	clear(next)
 	firsts = pairs[:0]

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -278,6 +279,34 @@ func TestRandomGeometric(t *testing.T) {
 	}
 	if !g3.IsConnected() {
 		t.Error("RGG with huge radius should be connected")
+	}
+}
+
+// TestRandomGeometricMatchesAllPairs: the cell search finds exactly the
+// pairs within the radius, both at the default radius (cells of side r)
+// and at one so small that the index caps its cell count and uses wider
+// cells.
+func TestRandomGeometricMatchesAllPairs(t *testing.T) {
+	for _, radius := range []float64{0, 0.45} {
+		g, pts, err := RandomGeometric(2500, 3, GeometricOptions{Radius: radius, KeepDisconnected: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := radius
+		if r == 0 {
+			r = math.Pow(math.Log(2500), 0.25)
+		}
+		var want [][2]int
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if pts[i].Dist2(pts[j]) <= r*r {
+					want = append(want, [2]int{i, j})
+				}
+			}
+		}
+		if got := g.Edges(); len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("radius %g: %d edges, want the %d pairs within it", r, len(got), len(want))
+		}
 	}
 }
 
