@@ -48,10 +48,11 @@ verify-static: fmt-check vet lint
 race:
 	$(GO) test -race -short -tags=invariants ./...
 
-# verify is the CI entry point: the static suite, a full build (including
+# verify is the CI entry point, and CI's verify job runs nothing else: the
+# static suite, the arm64 fused multiply-add check, a full build (including
 # the examples/ packages, which have no tests of their own), the short test
 # suite and the race+invariants pass.
-verify: verify-static build test-short race
+verify: verify-static fma-check build test-short race
 	@echo verify OK
 
 # fma-check keeps the engine's floating point the same on every
@@ -59,12 +60,14 @@ verify: verify-static build test-short race
 # multiply-add that rounds once, where amd64 rounds the product first, so
 # Ŷ could differ in its last bit from the goldens, which are recorded on
 # amd64. An explicit float64(x*y) rounds the product and stops the fusion.
-# The target compiles the engine packages for arm64 with -S and fails,
-# naming file:line, on any fused multiply-add in their assembly, whatever
-# source file it comes from: a generic function of another package (such
-# as metrics.Potential, which core's switch policies call) is compiled into
-# the package that instantiates it, and an inlined call into its caller.
-FMA_PKGS = ./internal/core ./internal/actor
+# The target compiles the engines (core, actor), the runner that observes
+# them (sim) and the operator and power iteration (spectral) for arm64 with
+# -S and fails, naming file:line, on any fused multiply-add in their
+# assembly, whatever source file it comes from: a generic function of
+# another package (such as metrics.Potential, which core's switch policies
+# call) is compiled into the package that instantiates it, and an inlined
+# call into its caller.
+FMA_PKGS = ./internal/core ./internal/actor ./internal/sim ./internal/spectral
 fma-check:
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { printf '%s\n' "$$asm"; exit 1; }; \
 	printf '%s\n' "$$asm" | grep -q 'core\.(\*Discrete)\.passRound STEXT' || { echo "fma-check: no arm64 assembly for passRound"; exit 1; }; \

@@ -13,7 +13,6 @@ import (
 	"diffusionlb/internal/core"
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
-	"diffusionlb/internal/shard"
 	"diffusionlb/internal/spectral"
 )
 
@@ -46,13 +45,12 @@ func benchScaleStep(b *testing.B, g *graph.Graph, kind core.Kind) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lay := shard.ForWorkers(g, 1)
 	x0 := make([]int64, n)
 	for i := range x0 {
 		x0[i] = int64((i*i)%257) * 4
 	}
 	proc, err := core.NewDiscrete(
-		core.Config{Op: op, Kind: kind, Beta: 1.9, Workers: 1, Layout: lay},
+		core.Config{Op: op, Kind: kind, Beta: 1.9, Workers: 1},
 		core.RandomizedRounder{}, 1, x0)
 	if err != nil {
 		b.Fatal(err)

@@ -443,6 +443,11 @@ func TestRunFreeFormScenario(t *testing.T) {
 		"-rounds", "10"}); err == nil {
 		t.Fatal("negative -betareopt should be rejected")
 	}
+	// Without -env or -scenario no speed event ever fires the re-opt.
+	if err := run([]string{"-graph", "torus2d:8x8", "-scheme", "sos", "-betareopt", "0.05",
+		"-rounds", "5"}); err == nil {
+		t.Fatal("-betareopt without -env or -scenario should be rejected")
+	}
 }
 
 func TestRunSweepScenarioAxis(t *testing.T) {

@@ -129,8 +129,8 @@ func New(op *spectral.Operator, kind core.Kind, beta float64, rounder core.Round
 	}
 	r := &Runtime{stale: opts.Stale}
 	heads, mates, ghosts := buildTopology(r, lay)
-	cfg := core.Config{Op: op, Kind: kind, Beta: beta, Workers: lay.Shards(), Layout: lay}
-	if r.discrete, r.halo, err = core.NewHalo(cfg, rounder, seed, initial, heads, mates, ghosts); err != nil {
+	cfg := core.Config{Op: op, Kind: kind, Beta: beta}
+	if r.discrete, r.halo, err = core.NewHalo(cfg, lay, rounder, seed, initial, heads, mates, ghosts); err != nil {
 		return nil, err
 	}
 	return r, nil

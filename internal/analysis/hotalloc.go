@@ -9,11 +9,11 @@ import (
 )
 
 // HotAlloc enforces the 0 allocs/round contract on functions annotated
-// //lbvet:hotpath — the fused Step kernels, Reweight/ReweightPar, Retarget
-// and the rounders. TestStepSteadyStateAllocFree pins the property at
-// runtime for one engine configuration; this analyzer pins the cause for
-// every annotated function, flagging each construct that allocates (or
-// forces a heap escape) on the hot path:
+// //lbvet:hotpath — the fused Step kernels, Reweight, Retarget and the
+// rounders. TestStepSteadyStateAllocFree pins the property at runtime for
+// one engine configuration; this analyzer pins the cause for every
+// annotated function, flagging each construct that allocates (or forces a
+// heap escape) on the hot path:
 //
 //   - append (may grow the backing array) and make/new;
 //   - function literals (closure allocation);

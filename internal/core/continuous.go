@@ -25,7 +25,6 @@ type Continuous struct {
 	op      *spectral.Operator
 	kind    Kind
 	beta    float64
-	workers int
 	lay     *shard.Layout
 	offsets []int32
 	arcs    []int32
@@ -76,12 +75,11 @@ func NewContinuous(cfg Config, initial []float64) (*Continuous, error) {
 	if len(initial) != n {
 		return nil, fmt.Errorf("%w: %d initial loads for %d nodes", ErrBadConfig, len(initial), n)
 	}
-	lay := layoutFor(cfg)
+	lay := shard.ForWorkers(g, cfg.Workers)
 	c := &Continuous{
 		op:           cfg.Op,
 		kind:         cfg.Kind,
 		beta:         cfg.Beta,
-		workers:      cfg.Workers,
 		lay:          lay,
 		offsets:      g.Offsets(),
 		arcs:         g.Arcs(),
@@ -169,10 +167,10 @@ func (c *Continuous) Step() {
 		c.stepZ = c.x
 	} else {
 		c.stepZ = c.z
-		c.lay.Run(c.workers, c.passZFn)
+		c.lay.Run(c.passZFn)
 	}
 
-	c.lay.Run(c.workers, c.passFlowFn)
+	c.lay.Run(c.passFlowFn)
 
 	anyNeg := false
 	for s := 0; s < c.lay.Shards(); s++ {
@@ -218,9 +216,6 @@ func (c *Continuous) Operator() *spectral.Operator { return c.op }
 
 // ShardLayout implements Sharded.
 func (c *Continuous) ShardLayout() *shard.Layout { return c.lay }
-
-// StepWorkers implements Sharded.
-func (c *Continuous) StepWorkers() int { return c.workers }
 
 // Loads returns the current load vector as a float view.
 func (c *Continuous) Loads() LoadView { return LoadView{Float: c.x} }

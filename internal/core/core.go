@@ -84,23 +84,18 @@ type Config struct {
 	// Beta is the second-order parameter β ∈ (0, 2); required for SOS,
 	// ignored for FOS. Use spectral.BetaOpt(λ) for the optimal value.
 	Beta float64
-	// Workers bounds the number of goroutines used per step. 0 or 1 means
-	// sequential. Results are identical for every value.
+	// Workers is the engine's one parallelism setting: it builds the shard
+	// layout, shard.ForWorkers(Op.Graph(), Workers), whose shard count is
+	// a pure function of (n, Workers), and every step runs those shards on
+	// min(shards, GOMAXPROCS) goroutines. 0 or 1 means one shard, stepped
+	// inline. Results are identical for every value. NewHalo ignores it:
+	// its partition is the transport's.
 	Workers int
-	// Layout optionally shares a prebuilt shard layout across engines on
-	// the same graph (sim.System holds one per topology, shared by every
-	// run on it). nil builds shard.ForWorkers(Op.Graph(), Workers). A non-nil
-	// layout must partition Op's graph; its shard count is free to differ
-	// from ShardsFor(n, Workers) — results are shard-count-independent.
-	Layout *shard.Layout
 }
 
 func (c Config) validate() error {
 	if c.Op == nil {
 		return fmt.Errorf("%w: nil operator", ErrBadConfig)
-	}
-	if c.Layout != nil && c.Layout.Graph() != c.Op.Graph() {
-		return fmt.Errorf("%w: layout partitions a different graph", ErrBadConfig)
 	}
 	switch c.Kind {
 	case FOS:
@@ -234,18 +229,6 @@ type InFlightReporter interface {
 type Sharded interface {
 	// ShardLayout returns the layout the process's step path runs on.
 	ShardLayout() *shard.Layout
-	// StepWorkers returns the configured per-step worker bound.
-	StepWorkers() int
-}
-
-// layoutFor resolves a validated Config's shard layout: the shared one when
-// the caller supplied it, otherwise a fresh partition for the requested
-// worker count.
-func layoutFor(cfg Config) *shard.Layout {
-	if cfg.Layout != nil {
-		return cfg.Layout
-	}
-	return shard.ForWorkers(cfg.Op.Graph(), cfg.Workers)
 }
 
 // betaCheck validates the common SetBeta precondition.

@@ -28,7 +28,6 @@ import (
 // shard with preallocated reduction slots.
 type CumulativeDiscrete struct {
 	cont    *Continuous
-	workers int
 	lay     *shard.Layout
 	offsets []int32
 
@@ -69,7 +68,6 @@ func NewCumulativeDiscrete(cfg Config, initial []int64) (*CumulativeDiscrete, er
 	}
 	c := &CumulativeDiscrete{
 		cont:     cont,
-		workers:  cfg.Workers,
 		lay:      cont.lay,
 		offsets:  cfg.Op.Graph().Offsets(),
 		x:        make([]int64, n),
@@ -117,7 +115,7 @@ func (c *CumulativeDiscrete) passApply(s, lo, hi int) {
 //lbvet:hotpath runs every round; must stay allocation-free in steady state
 func (c *CumulativeDiscrete) Step() {
 	c.cont.Step()
-	c.lay.Run(c.workers, c.passFn)
+	c.lay.Run(c.passFn)
 
 	anyNeg := false
 	for s := 0; s < c.lay.Shards(); s++ {
@@ -149,9 +147,6 @@ func (c *CumulativeDiscrete) Operator() *spectral.Operator { return c.cont.Opera
 
 // ShardLayout implements Sharded.
 func (c *CumulativeDiscrete) ShardLayout() *shard.Layout { return c.lay }
-
-// StepWorkers implements Sharded.
-func (c *CumulativeDiscrete) StepWorkers() int { return c.workers }
 
 // Loads returns the current integer load vector.
 func (c *CumulativeDiscrete) Loads() LoadView { return LoadView{Int: c.x} }
@@ -269,5 +264,5 @@ func (c *CumulativeDiscrete) Restore(cp CumulativeCheckpoint) error {
 
 // TotalLoad returns Σ x_i (conserved exactly).
 func (c *CumulativeDiscrete) TotalLoad() int64 {
-	return shard.SumInt64(c.lay, c.workers, c.x)
+	return shard.SumInt64(c.lay, c.x)
 }

@@ -46,7 +46,6 @@ type Discrete struct {
 	op      *spectral.Operator
 	kind    Kind
 	beta    float64
-	workers int
 	rounder Rounder
 	seed    uint64
 	lay     *shard.Layout
@@ -130,15 +129,16 @@ var _ Sharded = (*Discrete)(nil)
 // paper's RandomizedRounder), a master seed for the rounding streams, and
 // the initial integer loads (copied).
 func NewDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64) (*Discrete, error) {
-	return newDiscrete(cfg, rounder, seed, initial, nil, nil, 0)
-}
-
-// newDiscrete is NewDiscrete with an optional halo view (see NewHalo); nil
-// heads and mates mean the graph's own arcs and mate.
-func newDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return newDiscrete(cfg, shard.ForWorkers(cfg.Op.Graph(), cfg.Workers), rounder, seed, initial, nil, nil, 0)
+}
+
+// newDiscrete builds a Discrete from a validated cfg on lay, a partition
+// of cfg.Op's graph, with an optional halo view (see NewHalo); nil heads
+// and mates mean the graph's own arcs and mate.
+func newDiscrete(cfg Config, lay *shard.Layout, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, error) {
 	if rounder == nil {
 		rounder = RandomizedRounder{}
 	}
@@ -158,13 +158,11 @@ func newDiscrete(cfg Config, rounder Rounder, seed uint64, initial []int64, head
 		credit = make([]int64, n)
 	}
 	maxDeg := g.MaxDegree()
-	lay := layoutFor(cfg)
 	k := lay.Shards()
 	d := &Discrete{
 		op:        cfg.Op,
 		kind:      cfg.Kind,
 		beta:      cfg.Beta,
-		workers:   cfg.Workers,
 		rounder:   rounder,
 		seed:      seed,
 		lay:       lay,
@@ -336,9 +334,9 @@ func (d *Discrete) passApply(s, lo, hi int) {
 //lbvet:hotpath runs every round; TestStepSteadyStateAllocFree pins 0 allocs
 func (d *Discrete) Step() {
 	d.beginRound()
-	d.lay.Run(d.workers, d.passZFn)
-	d.lay.Run(d.workers, d.passRoundFn)
-	d.lay.Run(d.workers, d.passApplyFn)
+	d.lay.Run(d.passZFn)
+	d.lay.Run(d.passRoundFn)
+	d.lay.Run(d.passApplyFn)
 	d.endRound()
 }
 
@@ -395,17 +393,24 @@ func (d *Discrete) endRound() {
 // can step it shard by shard.
 type Halo struct{ d *Discrete }
 
-// NewHalo builds a Discrete over cfg.Layout whose arc loops read z through
-// heads and write the mate flow through mates (see the halo note on
-// Discrete): heads[a] is the head of arc a, or n+g for a remote head whose
-// normalized load the transport puts in ghost slot g < ghosts; mates[a] is
-// the mate of arc a, or a itself for a remote arc. Both slices are owned by
-// the engine from here on.
-func NewHalo(cfg Config, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, Halo, error) {
+// NewHalo builds a Discrete on lay, the transport's partition of cfg.Op's
+// graph (cfg.Workers is not read). Its arc loops read z through heads and
+// write the mate flow through mates (see the halo note on Discrete):
+// heads[a] is the head of arc a, or n+g for a remote head whose normalized
+// load the transport puts in ghost slot g < ghosts; mates[a] is the mate of
+// arc a, or a itself for a remote arc. Both slices are owned by the engine
+// from here on.
+func NewHalo(cfg Config, lay *shard.Layout, rounder Rounder, seed uint64, initial []int64, heads, mates []int32, ghosts int) (*Discrete, Halo, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, Halo{}, err
+	}
+	if lay == nil || lay.Graph() != cfg.Op.Graph() {
+		return nil, Halo{}, fmt.Errorf("%w: layout partitions a different graph", ErrBadConfig)
+	}
 	if heads == nil || mates == nil {
 		return nil, Halo{}, fmt.Errorf("%w: nil halo maps", ErrBadConfig)
 	}
-	d, err := newDiscrete(cfg, rounder, seed, initial, heads, mates, ghosts)
+	d, err := newDiscrete(cfg, lay, rounder, seed, initial, heads, mates, ghosts)
 	if err != nil {
 		return nil, Halo{}, err
 	}
@@ -461,9 +466,6 @@ func (d *Discrete) Operator() *spectral.Operator { return d.op }
 
 // ShardLayout implements Sharded.
 func (d *Discrete) ShardLayout() *shard.Layout { return d.lay }
-
-// StepWorkers implements Sharded.
-func (d *Discrete) StepWorkers() int { return d.workers }
 
 // Loads returns the current integer load vector.
 func (d *Discrete) Loads() LoadView { return LoadView{Int: d.x} }
@@ -695,5 +697,5 @@ func (d *Discrete) Traffic() (tokens, messages int64) {
 
 // TotalLoad returns Σ x_i, which every step conserves exactly.
 func (d *Discrete) TotalLoad() int64 {
-	return shard.SumInt64(d.lay, d.workers, d.x)
+	return shard.SumInt64(d.lay, d.x)
 }

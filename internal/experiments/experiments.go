@@ -140,14 +140,14 @@ func ByID(id string) (Experiment, bool) {
 // --- shared construction helpers ---
 
 // topology builds an experiment's graph, speeds ("" = homogeneous),
-// operator, shard layout, λ and β_opt with sim.RunSpec.System, the builder
-// lbsim and sweep cells use. Both specs draw from p.Seed. λ takes the
-// closed form on homogeneous tori and hypercubes and otherwise comes from
-// the power iteration at Tol 1e-10 (sim.LambdaClosedForm), as sweep cells
-// compute it.
+// operator, λ and β_opt with sim.RunSpec.System, the builder lbsim and
+// sweep cells use. Both specs draw from p.Seed. λ takes the closed form on
+// homogeneous tori and hypercubes and otherwise comes from the power
+// iteration at Tol 1e-10 (sim.LambdaClosedForm), as sweep cells compute
+// it.
 func (p Params) topology(graphSpec, speedsSpec string) (*sim.System, error) {
 	return sim.RunSpec{Graph: graphSpec, Speeds: speedsSpec, GraphSeed: p.Seed, SpeedsSeed: p.Seed,
-		Lambda: sim.LambdaClosedForm, StepWorkers: p.Workers}.System()
+		Lambda: sim.LambdaClosedForm}.System()
 }
 
 // torus is the graph spec of the side×side 2-d torus.
@@ -169,14 +169,15 @@ func toFloat(x []int64) []float64 {
 }
 
 // discrete and continuous are the randomized-rounding and idealized
-// processes the experiments compare, on sys's operator and shard layout.
+// processes the experiments compare, on sys's operator, each stepping on
+// the shard layout of p.Workers.
 func (p Params) discrete(sys *sim.System, kind core.Kind, x0 []int64) (*core.Discrete, error) {
-	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
+	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers}
 	return core.NewDiscrete(cfg, core.RandomizedRounder{}, p.Seed, x0)
 }
 
 func (p Params) continuous(sys *sim.System, kind core.Kind, x0 []float64) (*core.Continuous, error) {
-	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers, Layout: sys.Layout}
+	cfg := core.Config{Op: sys.Op, Kind: kind, Beta: sys.Beta, Workers: p.Workers}
 	return core.NewContinuous(cfg, x0)
 }
 

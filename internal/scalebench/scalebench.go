@@ -318,9 +318,8 @@ func benchOne(g *graph.Graph, kind core.Kind, rtSpec string, telemetryOn bool, c
 		proc = rt
 		engine = "actor/randomized"
 	} else {
-		lay := shard.ForWorkers(g, cfg.Workers)
 		proc, err = core.NewDiscrete(
-			core.Config{Op: op, Kind: kind, Beta: 1.9, Workers: cfg.Workers, Layout: lay},
+			core.Config{Op: op, Kind: kind, Beta: 1.9, Workers: cfg.Workers},
 			core.RandomizedRounder{}, cfg.Seed, x0)
 		if err != nil {
 			return Entry{}, fmt.Errorf("scalebench: engine: %w", err)

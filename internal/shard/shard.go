@@ -8,17 +8,19 @@
 // graph's CSR shape and the *requested* shard count — never of
 // runtime.GOMAXPROCS — so the same configuration produces the same
 // partition (and therefore the same floating-point reduction order) on a
-// 1-core CI box and a 64-core dev machine. GOMAXPROCS caps only how many
-// goroutines run the shards, which is invisible to the results: each
-// shard's outputs land in shard-indexed slots and are combined in shard
-// order.
+// 1-core CI box and a 64-core dev machine. The layout is the only
+// parallelism setting: an engine derives it from its worker count once
+// (ForWorkers), and every pass over it runs its shards on
+// min(Shards(), GOMAXPROCS) goroutines. That cap is invisible to the
+// results: each shard's outputs land in shard-indexed slots and are
+// combined in shard order.
 //
-// Layout.Run executes shards with optional work stealing: a fixed
-// shard→result mapping with dynamic shard→goroutine assignment. Stealing
-// changes which worker touches a shard, never what the shard computes, so
-// it is free to use under the determinism contract. The package-level Run
-// underneath it is the module's one goroutine fan-out, shared with the
-// actor runtime and the sweep.
+// Layout.Run executes shards with work stealing: a fixed shard→result
+// mapping with dynamic shard→goroutine assignment. Stealing changes which
+// worker touches a shard, never what the shard computes, so it is free to
+// use under the determinism contract. The package-level Run underneath it
+// is the module's one goroutine fan-out, shared with the actor runtime and
+// the sweep.
 package shard
 
 import (
@@ -58,8 +60,7 @@ func ShardsFor(n, workers int) int {
 // contiguous node ranges, every shard also owns one contiguous arc range —
 // the property the engines' per-shard kernels and scratch memory rely on.
 //
-// A Layout is immutable and safe for concurrent use; engines over the same
-// graph and worker count may share one.
+// A Layout is immutable and safe for concurrent use.
 type Layout struct {
 	g      *graph.Graph
 	bounds []int32 // len K+1 node boundaries; shard s is [bounds[s], bounds[s+1])
@@ -155,18 +156,16 @@ func (l *Layout) ShardOf(i int) int {
 }
 
 // Run executes body(s, lo, hi) for every shard s with node range [lo, hi),
-// on up to workers goroutines through the package-level Run. The shard set
-// and each shard's range are fixed by the layout; workers only bounds
-// concurrency, additionally capped at GOMAXPROCS so a low-core box never
-// oversubscribes — capping live goroutines, unlike capping the shard
-// count, cannot change results. workers <= 1 (or a single shard) runs
-// inline in shard order with no goroutines and no allocations — the
-// steady-state hot path on sequential configurations.
-func (l *Layout) Run(workers int, body func(s, lo, hi int)) {
-	if m := runtime.GOMAXPROCS(0); workers > m {
-		workers = m
-	}
-	Run(workers, l.Shards(), shardPass{l, body}, runShardPass)
+// on min(Shards(), GOMAXPROCS) goroutines through the package-level Run.
+// The shard set and each shard's range are fixed by the layout; the
+// GOMAXPROCS cap keeps a low-core box from oversubscribing, and capping
+// live goroutines, unlike capping the shard count, cannot change results.
+// A single shard (or GOMAXPROCS 1) runs inline in shard order with no
+// goroutines and no allocations — the steady-state hot path on sequential
+// configurations.
+func (l *Layout) Run(body func(s, lo, hi int)) {
+	k := l.Shards()
+	Run(min(k, runtime.GOMAXPROCS(0)), k, shardPass{l, body}, runShardPass)
 }
 
 // shardPass binds a pass body to its layout, so Layout.Run hands Run bound
@@ -226,9 +225,8 @@ func Run[A any](workers, n int, arg A, body func(A, int)) {
 
 // SumFloat64 sums x (length n) with one partial sum per shard, combined in
 // shard order — a deterministic parallel reduction: the grouping is fixed
-// by the layout, so the result is bit-identical for every worker count and
-// GOMAXPROCS value.
-func SumFloat64(l *Layout, workers int, x []float64) float64 {
+// by the layout, so the result is bit-identical for every GOMAXPROCS value.
+func SumFloat64(l *Layout, x []float64) float64 {
 	k := l.Shards()
 	if k == 1 {
 		var sum float64
@@ -238,7 +236,7 @@ func SumFloat64(l *Layout, workers int, x []float64) float64 {
 		return sum
 	}
 	partials := make([]float64, k)
-	l.Run(workers, func(s, lo, hi int) {
+	l.Run(func(s, lo, hi int) {
 		var sum float64
 		for i := lo; i < hi; i++ {
 			sum += x[i]
@@ -254,7 +252,7 @@ func SumFloat64(l *Layout, workers int, x []float64) float64 {
 
 // SumInt64 sums x (length n) with one partial per shard. Integer addition
 // is associative, so this is simply the parallel form of a plain loop.
-func SumInt64(l *Layout, workers int, x []int64) int64 {
+func SumInt64(l *Layout, x []int64) int64 {
 	k := l.Shards()
 	if k == 1 {
 		var sum int64
@@ -264,7 +262,7 @@ func SumInt64(l *Layout, workers int, x []int64) int64 {
 		return sum
 	}
 	partials := make([]int64, k)
-	l.Run(workers, func(s, lo, hi int) {
+	l.Run(func(s, lo, hi int) {
 		var sum int64
 		for i := lo; i < hi; i++ {
 			sum += x[i]

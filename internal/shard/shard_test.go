@@ -101,7 +101,7 @@ func TestRunVisitsEveryNodeOnce(t *testing.T) {
 		visited := make([]int32, g.NumNodes())
 		var mu sync.Mutex
 		shardSeen := make(map[int]bool)
-		l.Run(workers, func(s, lo, hi int) {
+		l.Run(func(s, lo, hi int) {
 			mu.Lock()
 			if shardSeen[s] {
 				mu.Unlock()
@@ -146,8 +146,9 @@ func TestRunWorkersAtLeastNAllLive(t *testing.T) {
 }
 
 // TestSumDeterministicAcrossWorkers: the float reduction grouping is fixed
-// by the layout, so the sum is bit-identical for every worker count — the
-// property the invariant checker's conservation pass relies on.
+// by the layout, so the sum is bit-identical for every GOMAXPROCS, and so
+// for every number of goroutines the shards run on — the property the
+// invariant checker's conservation pass relies on.
 func TestSumDeterministicAcrossWorkers(t *testing.T) {
 	g := testGraph(t, 100, 50) // 5000 nodes
 	x := make([]float64, g.NumNodes())
@@ -159,14 +160,16 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 		xi[i] = int64(i*i) - int64(len(x))
 	}
 	l := ForWorkers(g, 7)
-	want := SumFloat64(l, 1, x)
-	wantInt := SumInt64(l, 1, xi)
-	for _, workers := range []int{2, 3, 7, 32} {
-		if got := SumFloat64(l, workers, x); got != want {
-			t.Fatalf("workers=%d: float sum %.17g != %.17g", workers, got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := SumFloat64(l, x)
+	wantInt := SumInt64(l, xi)
+	for _, procs := range []int{2, 3, 7, 32} {
+		runtime.GOMAXPROCS(procs)
+		if got := SumFloat64(l, x); got != want {
+			t.Fatalf("GOMAXPROCS=%d: float sum %.17g != %.17g", procs, got, want)
 		}
-		if got := SumInt64(l, workers, xi); got != wantInt {
-			t.Fatalf("workers=%d: int sum %d != %d", workers, got, wantInt)
+		if got := SumInt64(l, xi); got != wantInt {
+			t.Fatalf("GOMAXPROCS=%d: int sum %d != %d", procs, got, wantInt)
 		}
 	}
 	// And across shard counts the int sum (exact) must agree too.
@@ -174,22 +177,30 @@ func TestSumDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SumInt64(l2, 2, xi); got != wantInt {
+	if got := SumInt64(l2, xi); got != wantInt {
 		t.Fatalf("3-shard int sum %d != %d", got, wantInt)
 	}
 }
 
+// TestRunSequentialFastPathAllocFree: a layout whose shards run on one
+// goroutine — a multi-shard layout under GOMAXPROCS 1, or a one-shard
+// layout at any GOMAXPROCS — runs them inline with no allocation.
 func TestRunSequentialFastPathAllocFree(t *testing.T) {
 	g := testGraph(t, 80, 60)
-	l := ForWorkers(g, 4)
 	var sink int
 	body := func(s, lo, hi int) { sink += hi - lo }
-	allocs := testing.AllocsPerRun(100, func() {
-		l.Run(1, body)
-	})
-	if allocs != 0 {
-		t.Errorf("sequential Run allocates %.1f per call, want 0", allocs)
+	check := func(name string, l *Layout) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(100, func() {
+			l.Run(body)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: sequential Run allocates %.1f per call, want 0", name, allocs)
+		}
 	}
+	check("one shard", ForWorkers(g, 1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check("4 shards under GOMAXPROCS=1", ForWorkers(g, 4))
 	_ = sink
 }
 

@@ -14,7 +14,6 @@ import (
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/scenario"
-	"diffusionlb/internal/shard"
 	"diffusionlb/internal/spectral"
 	"diffusionlb/internal/workload"
 )
@@ -32,8 +31,11 @@ type RunSpec struct {
 	GraphSeed, SpeedsSeed uint64
 	// Lambda selects how System computes λ, and with it β_opt.
 	Lambda LambdaSource
-	// StepWorkers bounds per-step parallelism (0 = sequential) and fixes
-	// System's shard layout. Results are identical for every value.
+	// StepWorkers is the shared-memory engines' core.Config.Workers: it
+	// fixes their shard count, a pure function of (n, StepWorkers), and
+	// each step runs those shards on min(shards, GOMAXPROCS) goroutines
+	// (0 = one shard, stepped inline). Results are identical for every
+	// value.
 	StepWorkers int
 
 	// Scheme is "fos" or "sos" in any case. Rounder is a core.RounderByName
@@ -78,14 +80,13 @@ const (
 )
 
 // System is the read-only topology half of a run: the graph, the speeds
-// (nil = homogeneous), the diffusion operator, the shard layout, λ and
-// β_opt. Runs on one (graph, speeds) pair can share it, because Build gives
-// every run that reweights the operator a private clone.
+// (nil = homogeneous), the diffusion operator, λ and β_opt. Runs on one
+// (graph, speeds) pair can share it, because Build gives every run that
+// reweights the operator a private clone.
 type System struct {
 	Graph        *graph.Graph
 	Speeds       *hetero.Speeds
 	Op           *spectral.Operator
-	Layout       *shard.Layout
 	Lambda, Beta float64
 }
 
@@ -128,6 +129,8 @@ func (r RunSpec) Validate() error {
 	switch {
 	case r.Env != "" && r.Scenario != "":
 		return fmt.Errorf("env %q and scenario %q cannot combine: a scenario owns the speed timeline", r.Env, r.Scenario)
+	case r.BetaReopt > 0 && r.Env == "" && r.Scenario == "":
+		return fmt.Errorf("beta re-opt threshold %g needs an env or a scenario: without speed events it never fires", r.BetaReopt)
 	case r.Beta < 0 || r.Beta >= 2: // 0 selects β_opt; SOS needs β inside (0, 2)
 		return fmt.Errorf("beta %g outside [0, 2)", r.Beta)
 	case r.Avg < 0 || r.BetaReopt < 0 || r.StepWorkers < 0 || r.Rounds < 0:
@@ -138,8 +141,8 @@ func (r RunSpec) Validate() error {
 }
 
 // System builds the topology half of the run: the graph, the speeds, the
-// operator under the paper's α rule, the shard layout for StepWorkers, and
-// λ and β_opt from the spec's λ source.
+// operator under the paper's α rule, and λ and β_opt from the spec's λ
+// source.
 func (r RunSpec) System() (*System, error) {
 	g, err := graph.FromSpec(r.Graph, r.GraphSeed)
 	if err != nil {
@@ -168,7 +171,7 @@ func (r RunSpec) System() (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{Graph: g, Speeds: sp, Op: op, Layout: shard.ForWorkers(g, r.StepWorkers), Lambda: lam, Beta: beta}, nil
+	return &System{Graph: g, Speeds: sp, Op: op, Lambda: lam, Beta: beta}, nil
 }
 
 // closedFormLambda returns λ in closed form for the graph specs that have
@@ -196,10 +199,10 @@ func closedFormLambda(gSpec string, sp *hetero.Speeds) (float64, bool) {
 }
 
 // Build validates the spec and assembles the run on sys, which must come
-// from a spec with the same graph, speeds and step workers: the process,
-// its dynamics, a fresh policy and the MetricsFor column set. A run with
-// env or scenario dynamics reweights its operator in place, so it gets a
-// private clone of sys.Op. Run the result for r.Rounds rounds.
+// from a spec with the same graph and speeds: the process, its dynamics, a
+// fresh policy and the MetricsFor column set. A run with env or scenario
+// dynamics reweights its operator in place, so it gets a private clone of
+// sys.Op. Run the result for r.Rounds rounds.
 func (r RunSpec) Build(sys *System) (*Runner, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -258,7 +261,7 @@ func (r RunSpec) process(op *spectral.Operator, sys *System, x0 []int64) (core.P
 	if beta == 0 {
 		beta = sys.Beta
 	}
-	cfg := core.Config{Op: op, Kind: kind, Beta: beta, Workers: r.StepWorkers, Layout: sys.Layout}
+	cfg := core.Config{Op: op, Kind: kind, Beta: beta, Workers: r.StepWorkers}
 	switch r.Rounder {
 	case "continuous":
 		xf := make([]float64, len(x0))

@@ -33,8 +33,9 @@ func buildRun(t *testing.T, spec RunSpec) (*System, *Runner) {
 	return sys, runner
 }
 
-// TestBuildStepWorkers: the step-worker count reaches the engine, and the
-// sharded run reproduces the sequential one bit for bit.
+// TestBuildStepWorkers: the step-worker count reaches the engine as its
+// shard count, and the sharded run reproduces the sequential one bit for
+// bit.
 func TestBuildStepWorkers(t *testing.T) {
 	spec := testRunSpec()
 	spec.Graph = "torus2d:64x64" // shard.MinShardNodes: smaller graphs run on one shard
@@ -46,8 +47,8 @@ func TestBuildStepWorkers(t *testing.T) {
 	if !ok {
 		t.Fatalf("%T does not implement core.Sharded", runner.Proc)
 	}
-	if sh.StepWorkers() != 4 || sh.ShardLayout().Shards() != 4 {
-		t.Fatalf("StepWorkers() = %d on %d shards, want 4 on 4", sh.StepWorkers(), sh.ShardLayout().Shards())
+	if got := sh.ShardLayout().Shards(); got != 4 {
+		t.Fatalf("4 step workers give %d shards, want 4", got)
 	}
 	spec.StepWorkers = 0
 	_, seq := buildRun(t, spec)
@@ -116,6 +117,7 @@ func TestRunSpecValidate(t *testing.T) {
 		}, nil},
 		{"policy", func(r *RunSpec) { r.Policy = "warp:9" }, core.ErrBadPolicySpec},
 		{"betareopt", func(r *RunSpec) { r.BetaReopt = -1 }, nil},
+		{"betareopt-static", func(r *RunSpec) { r.BetaReopt = 0.05 }, nil},
 		{"stepworkers", func(r *RunSpec) { r.StepWorkers = -1 }, nil},
 		{"rounds", func(r *RunSpec) { r.Rounds = -1 }, nil},
 	}

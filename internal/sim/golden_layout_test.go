@@ -18,7 +18,7 @@ import (
 // metric series, speed events, β re-optimizations, scheme switches and
 // final loads — must be bit-identical across shard counts 1, 2 and 7, with
 // environment dynamics reweighting the operator mid-run (through the
-// sharded ReweightPar path for Sharded processes) and the BetaReopt trigger
+// sharded Reweight path on multi-shard layouts) and the BetaReopt trigger
 // running its power iteration off the reweighted operator. GOMAXPROCS is
 // pinned high so the multi-worker runs actually spawn shard goroutines.
 func TestResultHistoriesDeterministicAcrossShardCounts(t *testing.T) {

@@ -42,7 +42,6 @@ type invariantChecker struct {
 	guarantor  core.NonNegativeGuarantor // nil when the process cannot certify
 	inFlight   core.InFlightReporter     // nil when the transport holds no load
 	lay        *shard.Layout             // nil when the process is not Sharded
-	workers    int
 	prevNonNeg bool
 	isInt      bool
 	expInt     int64
@@ -51,12 +50,9 @@ type invariantChecker struct {
 }
 
 func newInvariantChecker(p core.Process) *invariantChecker {
-	c := &invariantChecker{proc: p}
+	c := &invariantChecker{proc: p, lay: layoutOf(p)}
 	c.guarantor, _ = p.(core.NonNegativeGuarantor)
 	c.inFlight, _ = p.(core.InFlightReporter)
-	if sh, ok := p.(core.Sharded); ok {
-		c.lay, c.workers = sh.ShardLayout(), sh.StepWorkers()
-	}
 	lv := p.Loads()
 	if lv.Int != nil {
 		c.isInt = true
@@ -84,7 +80,7 @@ func (c *invariantChecker) inFlightLoad() int64 {
 // process has one.
 func (c *invariantChecker) sumInt(x []int64) int64 {
 	if c.lay != nil && c.lay.Nodes() == len(x) {
-		return shard.SumInt64(c.lay, c.workers, x)
+		return shard.SumInt64(c.lay, x)
 	}
 	return numeric.SumInt64(x)
 }
@@ -92,7 +88,7 @@ func (c *invariantChecker) sumInt(x []int64) int64 {
 // sumFloat reduces a float load vector with the layout's fixed grouping.
 func (c *invariantChecker) sumFloat(x []float64) float64 {
 	if c.lay != nil && c.lay.Nodes() == len(x) {
-		return shard.SumFloat64(c.lay, c.workers, x)
+		return shard.SumFloat64(c.lay, x)
 	}
 	return numeric.Sum(x)
 }
@@ -152,7 +148,7 @@ func (c *invariantChecker) afterReweight(round int) {
 	if len(c.cols) != n {
 		c.cols = make([]float64, n)
 	}
-	invariants.Must(op.ColumnSumsPar(c.lay, c.workers, c.cols))
+	invariants.Must(op.ColumnSums(c.cols, c.lay))
 	invariants.Must(invariants.ColumnStochastic(c.cols, invariants.StochasticTol,
 		fmt.Sprintf("sim: operator after reweight at round %d", round)))
 }

@@ -105,7 +105,7 @@ func targetStats[T metrics.Real](x []T, total float64, sp *hetero.Speeds) (sq, a
 			t = total * sp.Of(i) / sSum
 		}
 		d := float64(v) - t
-		sq += d * d
+		sq += float64(d * d)
 		if a := math.Abs(d); a > absMax {
 			absMax = a
 		}

@@ -12,6 +12,7 @@ import (
 	"diffusionlb/internal/invariants"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/scenario"
+	"diffusionlb/internal/shard"
 	"diffusionlb/internal/spectral"
 	"diffusionlb/internal/telemetry"
 	"diffusionlb/internal/workload"
@@ -294,25 +295,30 @@ type Runner struct {
 }
 
 // reweight applies a speed event to p's operator, which every process
-// shares, and retargets each of them onto it. It shards the O(n) diagonal
-// revalidation over p's own step layout when p exposes one (core.Sharded)
-// — at 2²⁰ nodes the validation scan is the entire cost of a speed event,
-// since α is speed-independent and the engines read it through the
-// operator view with no per-arc copying. The result is identical either
-// way; only the scan parallelizes.
+// shares, and retargets each of them onto it. The O(n) diagonal
+// revalidation runs on p's own step layout (nil unless p is core.Sharded),
+// so it shards wherever the step does — at 2²⁰ nodes the validation scan
+// is the entire cost of a speed event, since α is speed-independent and
+// the engines read it through the operator view with no per-arc copying.
+// The result is identical on every layout; only the scan parallelizes.
 func reweight(p core.Process, sp *hetero.Speeds, retargeters []core.Retargeter) error {
 	op := p.Operator()
-	if sh, ok := p.(core.Sharded); ok {
-		if err := op.ReweightPar(sp, sh.ShardLayout(), sh.StepWorkers()); err != nil {
-			return err
-		}
-	} else if err := op.Reweight(sp); err != nil {
+	if err := op.Reweight(sp, layoutOf(p)); err != nil {
 		return err
 	}
 	for _, rt := range retargeters {
 		if err := rt.Retarget(op); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// layoutOf returns the shard layout p steps on, nil when p is not
+// core.Sharded.
+func layoutOf(p core.Process) *shard.Layout {
+	if sh, ok := p.(core.Sharded); ok {
+		return sh.ShardLayout()
 	}
 	return nil
 }

@@ -140,7 +140,7 @@ func (s *Series) WriteTable(w io.Writer, maxRows int) error {
 		step := float64(len(s.rounds)-1) / float64(maxRows-1)
 		prev := -1
 		for k := 0; k < maxRows; k++ {
-			i := int(float64(k)*step + 0.5)
+			i := int(float64(float64(k)*step) + 0.5)
 			if i >= len(s.rounds) {
 				i = len(s.rounds) - 1
 			}

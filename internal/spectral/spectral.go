@@ -195,12 +195,17 @@ func (op *Operator) AlphaView() []float64 { return op.alpha }
 // speed vector's content, so Reweight invalidates nothing: a recently seen
 // speed vector reuses its λ bit for bit.
 //
+// A layout of several shards over the operator's graph shards the O(n)
+// revalidation: each shard validates its own node range and records its
+// smallest offending node, and the shard-order combine reports the same
+// first error the inline scan finds. A nil layout, a one-shard layout or
+// one over another graph scans the node range inline with no allocation.
 // On error the operator is left unchanged. Reweight must not run
 // concurrently with any other method on this operator; drivers apply it
 // between rounds (see the struct's concurrency note).
 //
-//lbvet:hotpath speed events can fire every round; the swap is O(n) with no allocation
-func (op *Operator) Reweight(speeds *hetero.Speeds) error {
+//lbvet:hotpath speed events can fire every round; only the multi-shard scan allocates, per event
+func (op *Operator) Reweight(speeds *hetero.Speeds, lay *shard.Layout) error {
 	n := op.g.NumNodes()
 	if speeds == nil {
 		speeds = hetero.Homogeneous(n)
@@ -211,57 +216,46 @@ func (op *Operator) Reweight(speeds *hetero.Speeds) error {
 	if speeds == op.speeds {
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		if diag := 1 - op.rowAlphaSum[i]/speeds.Of(i); diag < -1e-12 {
-			return fmt.Errorf("spectral: Reweight: negative diagonal %g at node %d (alpha rule too large for the new speeds)", diag, i)
+	bad, diag := -1, 0.0
+	if !op.sharded(lay) {
+		bad, diag = op.negativeDiagonal(speeds, 0, n)
+	} else {
+		badNode := make([]int, lay.Shards())     //lint:allow hotalloc per-speed-event scratch, two small slices per multi-shard Reweight, not per round
+		badDiag := make([]float64, lay.Shards()) //lint:allow hotalloc per-speed-event scratch, two small slices per multi-shard Reweight, not per round
+		//lint:allow hotalloc one closure per multi-shard speed event, not per round
+		lay.Run(func(s, lo, hi int) {
+			badNode[s], badDiag[s] = op.negativeDiagonal(speeds, lo, hi)
+		})
+		for s, i := range badNode {
+			if i >= 0 {
+				bad, diag = i, badDiag[s]
+				break
+			}
 		}
+	}
+	if bad >= 0 {
+		return fmt.Errorf("spectral: Reweight: negative diagonal %g at node %d (alpha rule too large for the new speeds)", diag, bad)
 	}
 	op.speeds = speeds
 	return nil
 }
 
-// ReweightPar is Reweight with the O(n) diagonal revalidation sharded: each
-// shard validates its own node range and records the smallest offending
-// node, and the shard-order combine reports the same first error the
-// sequential scan finds. On error the operator is left unchanged. Like
-// Reweight it must not run concurrently with any other method; lay must
-// partition the operator's graph (a nil or foreign layout falls back to the
-// sequential Reweight).
-//
-//lbvet:hotpath speed events can fire every round; scratch below is per event, not per round
-func (op *Operator) ReweightPar(speeds *hetero.Speeds, lay *shard.Layout, workers int) error {
-	if lay == nil || lay.Graph() != op.g {
-		return op.Reweight(speeds)
-	}
-	n := op.g.NumNodes()
-	if speeds == nil {
-		speeds = hetero.Homogeneous(n)
-	}
-	if speeds.Len() != n {
-		return fmt.Errorf("spectral: Reweight: %d speeds for %d nodes", speeds.Len(), n)
-	}
-	if speeds == op.speeds {
-		return nil
-	}
-	badNode := make([]int, lay.Shards())     //lint:allow hotalloc per-speed-event scratch, two small slices per Reweight, not per round
-	badDiag := make([]float64, lay.Shards()) //lint:allow hotalloc per-speed-event scratch, two small slices per Reweight, not per round
-	//lint:allow hotalloc one closure per speed event, not per round
-	lay.Run(workers, func(s, lo, hi int) {
-		badNode[s] = -1
-		for i := lo; i < hi; i++ {
-			if diag := 1 - op.rowAlphaSum[i]/speeds.Of(i); diag < -1e-12 {
-				badNode[s], badDiag[s] = i, diag
-				return
-			}
-		}
-	})
-	for s := 0; s < lay.Shards(); s++ {
-		if badNode[s] >= 0 {
-			return fmt.Errorf("spectral: Reweight: negative diagonal %g at node %d (alpha rule too large for the new speeds)", badDiag[s], badNode[s])
+// sharded reports whether lay splits the operator's node range into
+// several shards; Reweight and ColumnSums scan inline on any other layout.
+func (op *Operator) sharded(lay *shard.Layout) bool {
+	return lay != nil && lay.Graph() == op.g && lay.Shards() > 1
+}
+
+// negativeDiagonal returns the smallest node in [lo, hi) whose diagonal
+// entry of M would be negative under speeds, and that entry; -1 when there
+// is none.
+func (op *Operator) negativeDiagonal(speeds *hetero.Speeds, lo, hi int) (int, float64) {
+	for i := lo; i < hi; i++ {
+		if diag := 1 - op.rowAlphaSum[i]/speeds.Of(i); diag < -1e-12 {
+			return i, diag
 		}
 	}
-	op.speeds = speeds
-	return nil
+	return -1, 0
 }
 
 // MemoryFootprint returns the resident bytes of the operator's own storage
@@ -306,7 +300,7 @@ func (op *Operator) MulVec(x, dst []float64) []float64 {
 		var out float64
 		for a := offsets[i]; a < offsets[i+1]; a++ {
 			j := arcs[a]
-			out += op.alpha[a] * (zi - x[j]/op.speeds.Of(int(j)))
+			out += float64(op.alpha[a] * (zi - x[j]/op.speeds.Of(int(j))))
 		}
 		dst[i] = x[i] - out
 	}
@@ -327,7 +321,7 @@ func (op *Operator) MulVecT(y, dst []float64) []float64 {
 	for j := 0; j < n; j++ {
 		var acc float64
 		for a := offsets[j]; a < offsets[j+1]; a++ {
-			acc += op.alpha[a] * (y[j] - y[arcs[a]])
+			acc += float64(op.alpha[a] * (y[j] - y[arcs[a]]))
 		}
 		dst[j] = y[j] - acc/op.speeds.Of(j)
 	}
@@ -362,19 +356,29 @@ func (op *Operator) Dense() *numeric.Dense {
 // contributions α_ij/s_j in ascending neighbor order (adjacency lists are
 // sorted), reading each α through the mate index — the same float the old
 // scatter over rows added, in the same i-ascending order, so the result is
-// bit-identical to the historical scatter form while every column is now
-// independent of every other (the property ColumnSumsPar exploits).
-func (op *Operator) ColumnSums(dst []float64) error {
+// bit-identical to the historical scatter form while every column is
+// independent of every other. A layout of several shards over the
+// operator's graph therefore gathers each shard's columns in parallel with
+// no scatter races and no change in the result; a nil layout, a one-shard
+// layout or one over another graph scans the columns inline with no
+// allocation.
+func (op *Operator) ColumnSums(dst []float64, lay *shard.Layout) error {
 	n := op.g.NumNodes()
 	if len(dst) != n {
 		return fmt.Errorf("spectral: ColumnSums: %d slots for %d nodes", len(dst), n)
 	}
-	op.columnSumsRange(dst, 0, n)
+	if !op.sharded(lay) {
+		op.columnSumsRange(dst, 0, n)
+		return nil
+	}
+	lay.Run(func(_, lo, hi int) {
+		op.columnSumsRange(dst, lo, hi)
+	})
 	return nil
 }
 
 // columnSumsRange fills dst[lo:hi] with the column sums of columns
-// [lo, hi) — the shard kernel behind ColumnSums and ColumnSumsPar.
+// [lo, hi) — the shard kernel behind ColumnSums.
 //
 //lbvet:hotpath conservation-check kernel, run per verification round over every arc
 func (op *Operator) columnSumsRange(dst []float64, lo, hi int) {
@@ -387,25 +391,6 @@ func (op *Operator) columnSumsRange(dst []float64, lo, hi int) {
 		}
 		dst[j] = acc
 	}
-}
-
-// ColumnSumsPar is ColumnSums over a shard layout: each shard gathers its
-// own columns, so the check parallelizes with no scatter races and no
-// change in the result — every dst[j] is written by exactly one shard with
-// the exact value the sequential form produces. lay must partition the
-// operator's graph.
-func (op *Operator) ColumnSumsPar(lay *shard.Layout, workers int, dst []float64) error {
-	n := op.g.NumNodes()
-	if len(dst) != n {
-		return fmt.Errorf("spectral: ColumnSums: %d slots for %d nodes", len(dst), n)
-	}
-	if lay == nil || lay.Graph() != op.g {
-		return op.ColumnSums(dst)
-	}
-	lay.Run(workers, func(_, lo, hi int) {
-		op.columnSumsRange(dst, lo, hi)
-	})
-	return nil
 }
 
 // PowerOptions tunes SecondEigenvalue.
@@ -551,20 +536,20 @@ func (it *powerIteration) step() (norm, signed float64) {
 		row, rowAlpha := arcs[lo:hi], alpha[lo:hi]
 		var acc float64
 		for k, j := range row {
-			acc += rowAlpha[k] * (ui - u[j])
+			acc += float64(rowAlpha[k] * (ui - u[j]))
 		}
-		yi := x[i] - acc*invSqrtS[i]
+		yi := x[i] - float64(acc*invSqrtS[i])
 		y[i] = yi
-		c += yi * p[i]
+		c += float64(yi * p[i])
 	}
 	// y ← y − c·p; signed = x·y; ‖y‖².
 	negC := -c
 	var sq float64
 	for i := range y {
-		yi := y[i] + negC*p[i]
+		yi := y[i] + float64(negC*p[i])
 		y[i] = yi
-		signed += x[i] * yi
-		sq += yi * yi
+		signed += float64(x[i] * yi)
+		sq += float64(yi * yi)
 	}
 	it.x, it.y = y, x
 	norm = math.Sqrt(sq)
@@ -587,7 +572,7 @@ func BetaOpt(lambda float64) (float64, error) {
 	if lambda < 0 || lambda >= 1 || math.IsNaN(lambda) {
 		return 0, fmt.Errorf("spectral: BetaOpt: lambda=%g outside [0,1)", lambda)
 	}
-	return 2 / (1 + math.Sqrt(1-lambda*lambda)), nil
+	return 2 / (1 + math.Sqrt(1-float64(lambda*lambda))), nil
 }
 
 // FOSRounds returns the continuous-FOS balancing-time scale log(Kn)/(1−λ)
@@ -617,7 +602,7 @@ func AnalyticTorus2DLambda(w, h int) (float64, error) {
 			if k1 == 0 && k2 == 0 {
 				continue
 			}
-			mu := 1 - (2.0/5.0)*(2-cosW[k1]-cosH[k2])
+			mu := 1 - float64((2.0/5.0)*(2-cosW[k1]-cosH[k2]))
 			if a := math.Abs(mu); a > lambda {
 				lambda = a
 			}
@@ -654,7 +639,7 @@ func AnalyticCycleLambda(n int) (float64, error) {
 	}
 	lambda := 0.0
 	for k := 1; k < n; k++ {
-		mu := 1 - (2.0/3.0)*(1-math.Cos(2*math.Pi*float64(k)/float64(n)))
+		mu := 1 - float64((2.0/3.0)*(1-math.Cos(2*math.Pi*float64(k)/float64(n))))
 		if a := math.Abs(mu); a > lambda {
 			lambda = a
 		}
