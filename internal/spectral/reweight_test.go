@@ -186,10 +186,16 @@ func TestReweightValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want string
 	for _, lay := range testLayouts(t, big) {
 		err := bigTight.Reweight(slowSp, lay)
 		if err == nil || !strings.Contains(err.Error(), "at node 100 ") {
-			t.Errorf("%s: Reweight error %v, want the negative diagonal at node 100", layoutName(lay), err)
+			t.Fatalf("%s: Reweight error %v, want the negative diagonal at node 100", layoutName(lay), err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%s: Reweight error %q, nil layout %q", layoutName(lay), err, want)
 		}
 		if bigTight.Speeds() != bigFast {
 			t.Errorf("%s: failed Reweight must leave the operator unchanged", layoutName(lay))
