@@ -51,7 +51,7 @@ func runAsyncTimeline(t *testing.T, actors, stale int, kind core.Kind) asyncTrac
 				t.Fatal(err)
 			}
 		case 20:
-			if err := op.Reweight(sp2, nil); err != nil {
+			if err := op.Reweight(sp2); err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Retarget(op); err != nil {
@@ -64,7 +64,7 @@ func runAsyncTimeline(t *testing.T, actors, stale int, kind core.Kind) asyncTrac
 		case 40:
 			a.SetKind(flip)
 		case 50:
-			if err := op.Reweight(sp1, nil); err != nil {
+			if err := op.Reweight(sp1); err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Retarget(op); err != nil {

@@ -58,7 +58,7 @@ func newTimelineEnv(t *testing.T) (*timelineEnv, []int64) {
 		t.Fatal(err)
 	}
 	op2 := op1.Clone()
-	if err := op2.Reweight(sp2, nil); err != nil {
+	if err := op2.Reweight(sp2); err != nil {
 		t.Fatal(err)
 	}
 	return &timelineEnv{op1: op1, op2: op2, deltas: goldenDeltas(n)}, goldenInitial(n)

@@ -83,7 +83,7 @@ func (p timelinePair) applyTimelineEvent(t *testing.T, round int, op *spectral.O
 			t.Fatalf("round %d: inject: %v", round, err)
 		}
 	case 20:
-		if err := op.Reweight(sp2, nil); err != nil {
+		if err := op.Reweight(sp2); err != nil {
 			t.Fatalf("round %d: reweight: %v", round, err)
 		}
 		if err := firstErr(p.ref.Retarget(op), p.act.Retarget(op)); err != nil {
@@ -97,7 +97,7 @@ func (p timelinePair) applyTimelineEvent(t *testing.T, round int, op *spectral.O
 		p.ref.SetKind(flip)
 		p.act.SetKind(flip)
 	case 50:
-		if err := op.Reweight(sp1, nil); err != nil {
+		if err := op.Reweight(sp1); err != nil {
 			t.Fatalf("round %d: reweight back: %v", round, err)
 		}
 		if err := firstErr(p.ref.Retarget(op), p.act.Retarget(op)); err != nil {

@@ -87,13 +87,13 @@ func TestStaleTrajectoryDigests(t *testing.T) {
 				case 10:
 					err = a.Inject(deltas)
 				case 20:
-					err = firstErr(op.Reweight(sp2, nil), a.Retarget(op))
+					err = firstErr(op.Reweight(sp2), a.Retarget(op))
 				case 30:
 					err = a.SetBeta(1.7)
 				case 40:
 					a.SetKind(flip)
 				case 50:
-					err = firstErr(op.Reweight(sp1, nil), a.Retarget(op))
+					err = firstErr(op.Reweight(sp1), a.Retarget(op))
 				}
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)

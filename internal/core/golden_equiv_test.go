@@ -102,7 +102,7 @@ func runGoldenTimeline(t *testing.T, op *spectral.Operator, sp1, sp2 *hetero.Spe
 				t.Fatalf("round %d: inject: %v", round, err)
 			}
 		case 20:
-			if err := op.Reweight(sp2, nil); err != nil {
+			if err := op.Reweight(sp2); err != nil {
 				t.Fatalf("round %d: reweight: %v", round, err)
 			}
 			if err := h.retarget(op); err != nil {
@@ -115,7 +115,7 @@ func runGoldenTimeline(t *testing.T, op *spectral.Operator, sp1, sp2 *hetero.Spe
 		case 40:
 			h.setKind(flip)
 		case 50:
-			if err := op.Reweight(sp1, nil); err != nil {
+			if err := op.Reweight(sp1); err != nil {
 				t.Fatalf("round %d: reweight back: %v", round, err)
 			}
 			if err := h.retarget(op); err != nil {

@@ -66,7 +66,7 @@ func TestRetargetReweightMatchesRebuild(t *testing.T) {
 		return d
 	}
 	viaReweight := run(func(d *Discrete) error {
-		if err := d.Operator().Reweight(after, nil); err != nil {
+		if err := d.Operator().Reweight(after); err != nil {
 			return err
 		}
 		return d.Retarget(d.Operator())
@@ -109,7 +109,7 @@ func TestRetargetPreservesState(t *testing.T) {
 	loads := append([]int64(nil), d.LoadsInt()...)
 	flows := append([]int64(nil), d.Flows()...)
 	tok, msg := d.Traffic()
-	if err := op.Reweight(after, nil); err != nil {
+	if err := op.Reweight(after); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Retarget(op); err != nil {

@@ -269,7 +269,7 @@ func testEnvCheckpointResume(t *testing.T, cut int) {
 		if cut < 40 {
 			t.Fatalf("speeds changed at the pre-event cut round %d", cut)
 		}
-		if err := secondOp.Reweight(sp, nil); err != nil {
+		if err := secondOp.Reweight(sp); err != nil {
 			t.Fatal(err)
 		}
 		if err := second.Retarget(secondOp); err != nil {
@@ -286,7 +286,7 @@ func testEnvCheckpointResume(t *testing.T, cut int) {
 			t.Fatal(err)
 		}
 		if changed > 0 {
-			if err := secondOp.Reweight(sp, nil); err != nil {
+			if err := secondOp.Reweight(sp); err != nil {
 				t.Fatal(err)
 			}
 			if err := second.Retarget(secondOp); err != nil {

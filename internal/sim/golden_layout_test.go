@@ -17,10 +17,10 @@ import (
 // of the golden equivalence suite: a full Runner trajectory — recorded
 // metric series, speed events, β re-optimizations, scheme switches and
 // final loads — must be bit-identical across shard counts 1, 2 and 7, with
-// environment dynamics reweighting the operator mid-run (through the
-// sharded Reweight path on multi-shard layouts) and the BetaReopt trigger
-// running its power iteration off the reweighted operator. GOMAXPROCS is
-// pinned high so the multi-worker runs actually spawn shard goroutines.
+// environment dynamics reweighting the operator mid-run and the BetaReopt
+// trigger running its power iteration off the reweighted operator.
+// GOMAXPROCS is pinned high so the multi-worker runs actually spawn shard
+// goroutines.
 func TestResultHistoriesDeterministicAcrossShardCounts(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)

@@ -30,13 +30,13 @@ import (
 //   - column-stochasticity of the operator after every Reweight, within
 //     invariants.StochasticTol.
 //
-// When the process runs on a shard layout (core.Sharded), every full-vector
-// walk — the conservation reductions and the post-reweight column sums —
-// goes through that layout with per-shard partials combined in shard order,
-// so invariant-checked runs at 2²⁰ nodes keep pace with the step path
-// instead of adding single-threaded O(n + |E|) scans per round. The
-// grouping is fixed by the layout, so the float baseline stays bit-stable
-// across worker counts.
+// When the process runs on a shard layout (core.Sharded), the per-round
+// conservation reductions go through that layout with per-shard partials
+// combined in shard order, so invariant-checked runs at 2²⁰ nodes keep pace
+// with the step path instead of adding a single-threaded O(n) scan per
+// round. The grouping is fixed by the layout, so the float baseline stays
+// bit-stable across worker counts. The post-reweight column sums run once
+// per speed event and scan inline.
 type invariantChecker struct {
 	proc       core.Process
 	guarantor  core.NonNegativeGuarantor // nil when the process cannot certify
@@ -50,9 +50,12 @@ type invariantChecker struct {
 }
 
 func newInvariantChecker(p core.Process) *invariantChecker {
-	c := &invariantChecker{proc: p, lay: layoutOf(p)}
+	c := &invariantChecker{proc: p}
 	c.guarantor, _ = p.(core.NonNegativeGuarantor)
 	c.inFlight, _ = p.(core.InFlightReporter)
+	if sh, ok := p.(core.Sharded); ok {
+		c.lay = sh.ShardLayout()
+	}
 	lv := p.Loads()
 	if lv.Int != nil {
 		c.isInt = true
@@ -140,15 +143,14 @@ func (c *invariantChecker) afterInject(deltas []int64) {
 }
 
 // afterReweight asserts the reweighted operator is still column-stochastic
-// — the structural property load conservation rests on. The column sums
-// gather per shard when the process has a layout over the operator's graph.
+// — the structural property load conservation rests on.
 func (c *invariantChecker) afterReweight(round int) {
 	op := c.proc.Operator()
 	n := op.Graph().NumNodes()
 	if len(c.cols) != n {
 		c.cols = make([]float64, n)
 	}
-	invariants.Must(op.ColumnSums(c.cols, c.lay))
+	invariants.Must(op.ColumnSums(c.cols))
 	invariants.Must(invariants.ColumnStochastic(c.cols, invariants.StochasticTol,
 		fmt.Sprintf("sim: operator after reweight at round %d", round)))
 }

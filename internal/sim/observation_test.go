@@ -240,7 +240,7 @@ func TestObservationMatchesMetrics(t *testing.T) {
 			if tc.reweight {
 				r.OnRound = func(round int, p core.Process) {
 					if round == 3 {
-						if err := p.Operator().Reweight(randomSpeeds(tc.g.NumNodes(), 5), nil); err != nil {
+						if err := p.Operator().Reweight(randomSpeeds(tc.g.NumNodes(), 5)); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -12,7 +12,6 @@ import (
 	"diffusionlb/internal/invariants"
 	"diffusionlb/internal/metrics"
 	"diffusionlb/internal/scenario"
-	"diffusionlb/internal/shard"
 	"diffusionlb/internal/spectral"
 	"diffusionlb/internal/telemetry"
 	"diffusionlb/internal/workload"
@@ -295,30 +294,18 @@ type Runner struct {
 }
 
 // reweight applies a speed event to p's operator, which every process
-// shares, and retargets each of them onto it. The O(n) diagonal
-// revalidation runs on p's own step layout (nil unless p is core.Sharded),
-// so it shards wherever the step does — at 2²⁰ nodes the validation scan
-// is the entire cost of a speed event, since α is speed-independent and
-// the engines read it through the operator view with no per-arc copying.
-// The result is identical on every layout; only the scan parallelizes.
+// shares, and retargets each of them onto it. α is speed-independent and
+// the engines read it through the operator view with no per-arc copying,
+// so a speed event costs one O(n) diagonal revalidation.
 func reweight(p core.Process, sp *hetero.Speeds, retargeters []core.Retargeter) error {
 	op := p.Operator()
-	if err := op.Reweight(sp, layoutOf(p)); err != nil {
+	if err := op.Reweight(sp); err != nil {
 		return err
 	}
 	for _, rt := range retargeters {
 		if err := rt.Retarget(op); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// layoutOf returns the shard layout p steps on, nil when p is not
-// core.Sharded.
-func layoutOf(p core.Process) *shard.Layout {
-	if sh, ok := p.(core.Sharded); ok {
-		return sh.ShardLayout()
 	}
 	return nil
 }

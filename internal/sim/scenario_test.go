@@ -238,7 +238,7 @@ func testScenarioCheckpointResume(t *testing.T, cut int) {
 		if cut < 40 {
 			t.Fatalf("speeds changed at the pre-ramp cut round %d", cut)
 		}
-		if err := secondOp.Reweight(sp, nil); err != nil {
+		if err := secondOp.Reweight(sp); err != nil {
 			t.Fatal(err)
 		}
 		if err := second.Retarget(secondOp); err != nil {
@@ -255,7 +255,7 @@ func testScenarioCheckpointResume(t *testing.T, cut int) {
 			t.Fatal(err)
 		}
 		if changed > 0 {
-			if err := secondOp.Reweight(sp, nil); err != nil {
+			if err := secondOp.Reweight(sp); err != nil {
 				t.Fatal(err)
 			}
 			if err := second.Retarget(secondOp); err != nil {
@@ -481,7 +481,7 @@ func TestBetaReoptCheckpointResumeMidRamp(t *testing.T) {
 	if sp, changed, err := applier.SpeedsAt(cut); err != nil {
 		t.Fatal(err)
 	} else if changed > 0 {
-		if err := secondOp.Reweight(sp, nil); err != nil {
+		if err := secondOp.Reweight(sp); err != nil {
 			t.Fatal(err)
 		}
 		if err := second.Retarget(secondOp); err != nil {
@@ -503,7 +503,7 @@ func TestBetaReoptCheckpointResumeMidRamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		if changed > 0 {
-			if err := secondOp.Reweight(sp, nil); err != nil {
+			if err := secondOp.Reweight(sp); err != nil {
 				t.Fatal(err)
 			}
 			if err := second.Retarget(secondOp); err != nil {
@@ -630,7 +630,7 @@ func BenchmarkBetaReopt(b *testing.B) {
 			opts := spectral.PowerOptions{Tol: 1e-8}
 			reopt := func(i int) {
 				// Every Reweight installs a vector different from the last.
-				if err := op.Reweight(bc.speeds[i%len(bc.speeds)], nil); err != nil {
+				if err := op.Reweight(bc.speeds[i%len(bc.speeds)]); err != nil {
 					b.Fatal(err)
 				}
 				lam, _, err := op.SecondEigenvalue(opts)

@@ -29,7 +29,7 @@ func TestColumnSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := make([]float64, g.NumNodes())
-	if err := op.ColumnSums(cols, nil); err != nil {
+	if err := op.ColumnSums(cols); err != nil {
 		t.Fatal(err)
 	}
 	for j, s := range cols {
@@ -45,10 +45,10 @@ func TestColumnSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Reweight(sp2, nil); err != nil {
+	if err := op.Reweight(sp2); err != nil {
 		t.Fatal(err)
 	}
-	if err := op.ColumnSums(cols, nil); err != nil {
+	if err := op.ColumnSums(cols); err != nil {
 		t.Fatal(err)
 	}
 	for j, s := range cols {
@@ -56,38 +56,7 @@ func TestColumnSums(t *testing.T) {
 			t.Fatalf("after reweight: column %d sums to %.17g", j, s)
 		}
 	}
-	if err := op.ColumnSums(cols[:1], nil); err == nil {
+	if err := op.ColumnSums(cols[:1]); err == nil {
 		t.Fatal("short dst not rejected")
-	}
-
-	// On a graph big enough to shard, a Reweight and the column sums after
-	// it give the same bits on every layout.
-	big, err := graph.Torus2D(64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, after := reweightSpeeds(t, big.NumNodes())
-	var want []float64
-	for _, lay := range testLayouts(t, big) {
-		op, err := NewOperator(big, before, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := op.Reweight(after, lay); err != nil {
-			t.Fatalf("%s: %v", layoutName(lay), err)
-		}
-		got := make([]float64, big.NumNodes())
-		if err := op.ColumnSums(got, lay); err != nil {
-			t.Fatalf("%s: %v", layoutName(lay), err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: column %d sums to %.17g, nil layout %.17g", layoutName(lay), j, got[j], want[j])
-			}
-		}
 	}
 }

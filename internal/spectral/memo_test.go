@@ -68,14 +68,14 @@ func TestLambdaMemoSurvivesReweight(t *testing.T) {
 	spA, spB := reweightSpeeds(t, 36)
 	op := mustOp(t, g, spA, nil)
 	lamA, signedA := lambdaOf(t, op, PowerOptions{})
-	if err := op.Reweight(spB, nil); err != nil {
+	if err := op.Reweight(spB); err != nil {
 		t.Fatal(err)
 	}
 	lamB, _ := lambdaOf(t, op, PowerOptions{})
 	if sameBits(lamA, lamB) {
 		t.Fatalf("lambda %g did not move across Reweight", lamA)
 	}
-	if err := op.Reweight(copySpeeds(t, spA), nil); err != nil {
+	if err := op.Reweight(copySpeeds(t, spA)); err != nil {
 		t.Fatal(err)
 	}
 	var lam, signed float64
@@ -143,7 +143,7 @@ func TestLambdaMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	op := mustOp(t, g, spA, nil)
 	query := func(sp *hetero.Speeds) {
 		t.Helper()
-		if err := op.Reweight(sp, nil); err != nil {
+		if err := op.Reweight(sp); err != nil {
 			t.Fatal(err)
 		}
 		lambdaOf(t, op, PowerOptions{})
@@ -180,7 +180,7 @@ func TestCloneCarriesLambdaMemo(t *testing.T) {
 		t.Errorf("clone query: %v allocs, (%.17g, %.17g); want a memo hit with (%.17g, %.17g)",
 			allocs, lam, signed, lamA, signedA)
 	}
-	if err := cl.Reweight(spB, nil); err != nil {
+	if err := cl.Reweight(spB); err != nil {
 		t.Fatal(err)
 	}
 	lambdaOf(t, cl, PowerOptions{})

@@ -1,7 +1,6 @@
 package spectral
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"diffusionlb/internal/graph"
 	"diffusionlb/internal/hetero"
-	"diffusionlb/internal/shard"
 )
 
 // reweightSpeeds builds the pre/post speed pair used across the tests: a
@@ -50,7 +48,7 @@ func TestReweightKeepsModelInvariants(t *testing.T) {
 	before, after := reweightSpeeds(t, 30)
 	op := mustOp(t, g, before, nil)
 	oldAlphas := op.Alphas()
-	if err := op.Reweight(after, nil); err != nil {
+	if err := op.Reweight(after); err != nil {
 		t.Fatal(err)
 	}
 	if op.Speeds() != after {
@@ -98,7 +96,7 @@ func TestReweightMovesLambda(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Reweight(after, nil); err != nil {
+	if err := op.Reweight(after); err != nil {
 		t.Fatal(err)
 	}
 	lam2, signed2, err := op.SecondEigenvalue(PowerOptions{})
@@ -129,7 +127,7 @@ func TestReweightValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Reweight(short, nil); err == nil {
+	if err := op.Reweight(short); err == nil {
 		t.Error("length mismatch must be rejected")
 	}
 	// A constant α sized for fast speeds becomes invalid when a node slows
@@ -147,82 +145,32 @@ func TestReweightValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tight.Reweight(hetero.Homogeneous(16), nil); err == nil {
+	if err := tight.Reweight(hetero.Homogeneous(16)); err == nil {
 		t.Fatal("Reweight must reject speeds that break the diagonal")
 	}
 	if tight.Speeds() != fastSp {
 		t.Error("failed Reweight must leave the operator unchanged")
 	}
+	// When several nodes break the diagonal, the error names the lowest.
+	slow := append([]float64(nil), fast...)
+	slow[3], slow[12] = 1, 1
+	slowSp, err := hetero.New(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tight.Reweight(slowSp); err == nil || !strings.Contains(err.Error(), "at node 3 ") {
+		t.Errorf("Reweight error %v, want the negative diagonal at node 3", err)
+	}
+	if tight.Speeds() != fastSp {
+		t.Error("failed Reweight must leave the operator unchanged")
+	}
 	// Reweight(nil) means homogeneous.
-	if err := op.Reweight(nil, nil); err != nil {
+	if err := op.Reweight(nil); err != nil {
 		t.Fatal(err)
 	}
 	if !op.Speeds().IsHomogeneous() {
 		t.Error("Reweight(nil) should install homogeneous speeds")
 	}
-
-	// On a graph big enough to shard, speeds that break the diagonal at
-	// two nodes in different shards fail alike on every layout: the
-	// shard-order combine names the lower node, as the inline scan does,
-	// and the operator keeps its speeds.
-	big, err := graph.Torus2D(64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	speeds := make([]float64, big.NumNodes())
-	for i := range speeds {
-		speeds[i] = 2
-	}
-	bigFast, err := hetero.New(speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	speeds[100], speeds[4000] = 1, 1
-	slowSp, err := hetero.New(speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigTight, err := NewOperator(big, bigFast, ConstantAlpha{Value: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want string
-	for _, lay := range testLayouts(t, big) {
-		err := bigTight.Reweight(slowSp, lay)
-		if err == nil || !strings.Contains(err.Error(), "at node 100 ") {
-			t.Fatalf("%s: Reweight error %v, want the negative diagonal at node 100", layoutName(lay), err)
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Errorf("%s: Reweight error %q, nil layout %q", layoutName(lay), err, want)
-		}
-		if bigTight.Speeds() != bigFast {
-			t.Errorf("%s: failed Reweight must leave the operator unchanged", layoutName(lay))
-		}
-	}
-}
-
-// testLayouts returns the layouts the merged operator paths are pinned on:
-// nil, and 1, 2 and 7 shards over g.
-func testLayouts(t *testing.T, g *graph.Graph) []*shard.Layout {
-	t.Helper()
-	lays := []*shard.Layout{nil}
-	for _, k := range []int{1, 2, 7} {
-		lay, err := shard.NewLayout(g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lays = append(lays, lay)
-	}
-	return lays
-}
-
-func layoutName(lay *shard.Layout) string {
-	if lay == nil {
-		return "nil layout"
-	}
-	return fmt.Sprintf("%d shards", lay.Shards())
 }
 
 // TestAlphasExposure is the regression test for the α-storage exposure fix:
@@ -271,7 +219,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if cl.Graph() != op.Graph() {
 		t.Error("Clone should share the immutable graph")
 	}
-	if err := cl.Reweight(after, nil); err != nil {
+	if err := cl.Reweight(after); err != nil {
 		t.Fatal(err)
 	}
 	if op.Speeds() != before {
@@ -330,7 +278,7 @@ func TestReweightFasterThanRebuild(t *testing.T) {
 	speeds := [2]*hetero.Speeds{after, before}
 	reweight := best(func() {
 		for i := 0; i < iters; i++ {
-			if err := op.Reweight(speeds[i%2], nil); err != nil {
+			if err := op.Reweight(speeds[i%2]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -364,7 +312,7 @@ func BenchmarkReweightVsRebuild(b *testing.B) {
 	b.Run("Reweight", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := op.Reweight(speeds[i%2], nil); err != nil {
+			if err := op.Reweight(speeds[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,7 +26,6 @@ import (
 	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/numeric"
 	"diffusionlb/internal/randx"
-	"diffusionlb/internal/shard"
 )
 
 // ErrNoConvergence is returned when power iteration fails to reach the
@@ -195,17 +194,12 @@ func (op *Operator) AlphaView() []float64 { return op.alpha }
 // speed vector's content, so Reweight invalidates nothing: a recently seen
 // speed vector reuses its λ bit for bit.
 //
-// A layout of several shards over the operator's graph shards the O(n)
-// revalidation: each shard validates its own node range and records its
-// smallest offending node, and the shard-order combine reports the same
-// first error the inline scan finds. A nil layout, a one-shard layout or
-// one over another graph scans the node range inline with no allocation.
 // On error the operator is left unchanged. Reweight must not run
 // concurrently with any other method on this operator; drivers apply it
 // between rounds (see the struct's concurrency note).
 //
-//lbvet:hotpath speed events can fire every round; only the multi-shard scan allocates, per event
-func (op *Operator) Reweight(speeds *hetero.Speeds, lay *shard.Layout) error {
+//lbvet:hotpath speed events can fire every round; the swap is O(n) with no allocation
+func (op *Operator) Reweight(speeds *hetero.Speeds) error {
 	n := op.g.NumNodes()
 	if speeds == nil {
 		speeds = hetero.Homogeneous(n)
@@ -216,46 +210,13 @@ func (op *Operator) Reweight(speeds *hetero.Speeds, lay *shard.Layout) error {
 	if speeds == op.speeds {
 		return nil
 	}
-	bad, diag := -1, 0.0
-	if !op.sharded(lay) {
-		bad, diag = op.negativeDiagonal(speeds, 0, n)
-	} else {
-		badNode := make([]int, lay.Shards())     //lint:allow hotalloc per-speed-event scratch, two small slices per multi-shard Reweight, not per round
-		badDiag := make([]float64, lay.Shards()) //lint:allow hotalloc per-speed-event scratch, two small slices per multi-shard Reweight, not per round
-		//lint:allow hotalloc one closure per multi-shard speed event, not per round
-		lay.Run(func(s, lo, hi int) {
-			badNode[s], badDiag[s] = op.negativeDiagonal(speeds, lo, hi)
-		})
-		for s, i := range badNode {
-			if i >= 0 {
-				bad, diag = i, badDiag[s]
-				break
-			}
+	for i := 0; i < n; i++ {
+		if diag := 1 - op.rowAlphaSum[i]/speeds.Of(i); diag < -1e-12 {
+			return fmt.Errorf("spectral: Reweight: negative diagonal %g at node %d (alpha rule too large for the new speeds)", diag, i)
 		}
-	}
-	if bad >= 0 {
-		return fmt.Errorf("spectral: Reweight: negative diagonal %g at node %d (alpha rule too large for the new speeds)", diag, bad)
 	}
 	op.speeds = speeds
 	return nil
-}
-
-// sharded reports whether lay splits the operator's node range into
-// several shards; Reweight and ColumnSums scan inline on any other layout.
-func (op *Operator) sharded(lay *shard.Layout) bool {
-	return lay != nil && lay.Graph() == op.g && lay.Shards() > 1
-}
-
-// negativeDiagonal returns the smallest node in [lo, hi) whose diagonal
-// entry of M would be negative under speeds, and that entry; -1 when there
-// is none.
-func (op *Operator) negativeDiagonal(speeds *hetero.Speeds, lo, hi int) (int, float64) {
-	for i := lo; i < hi; i++ {
-		if diag := 1 - op.rowAlphaSum[i]/speeds.Of(i); diag < -1e-12 {
-			return i, diag
-		}
-	}
-	return -1, 0
 }
 
 // MemoryFootprint returns the resident bytes of the operator's own storage
@@ -356,34 +317,16 @@ func (op *Operator) Dense() *numeric.Dense {
 // contributions α_ij/s_j in ascending neighbor order (adjacency lists are
 // sorted), reading each α through the mate index — the same float the old
 // scatter over rows added, in the same i-ascending order, so the result is
-// bit-identical to the historical scatter form while every column is
-// independent of every other. A layout of several shards over the
-// operator's graph therefore gathers each shard's columns in parallel with
-// no scatter races and no change in the result; a nil layout, a one-shard
-// layout or one over another graph scans the columns inline with no
-// allocation.
-func (op *Operator) ColumnSums(dst []float64, lay *shard.Layout) error {
+// bit-identical to the historical scatter form.
+//
+//lbvet:hotpath conservation-check kernel, run per verification round over every arc
+func (op *Operator) ColumnSums(dst []float64) error {
 	n := op.g.NumNodes()
 	if len(dst) != n {
 		return fmt.Errorf("spectral: ColumnSums: %d slots for %d nodes", len(dst), n)
 	}
-	if !op.sharded(lay) {
-		op.columnSumsRange(dst, 0, n)
-		return nil
-	}
-	lay.Run(func(_, lo, hi int) {
-		op.columnSumsRange(dst, lo, hi)
-	})
-	return nil
-}
-
-// columnSumsRange fills dst[lo:hi] with the column sums of columns
-// [lo, hi) — the shard kernel behind ColumnSums.
-//
-//lbvet:hotpath conservation-check kernel, run per verification round over every arc
-func (op *Operator) columnSumsRange(dst []float64, lo, hi int) {
 	offsets, mate := op.g.Offsets(), op.g.MateIndex()
-	for j := lo; j < hi; j++ {
+	for j := 0; j < n; j++ {
 		sj := op.speeds.Of(j)
 		acc := 1 - op.rowAlphaSum[j]/sj
 		for a := offsets[j]; a < offsets[j+1]; a++ {
@@ -391,6 +334,7 @@ func (op *Operator) columnSumsRange(dst []float64, lo, hi int) {
 		}
 		dst[j] = acc
 	}
+	return nil
 }
 
 // PowerOptions tunes SecondEigenvalue.
