@@ -67,8 +67,10 @@ type Discrete struct {
 	//lbvet:doublebuffer exact IEEE antisymmetry makes arc ownership unique: the owning node writes both directions of its arcs exactly once per round
 	//lint:allow checkpointsync holds the stale previous buffer at round boundaries; Step promotes it into flows
 	flowsNext []int64
-	scheduled []float64 //lint:allow checkpointsync scratch Ŷ(t) per arc, recomputed by passRound before any read
 	z         []float64 //lint:allow checkpointsync scratch x_i/s_i (then a halo engine's ghost slots), refilled every round before any read
+	// sched is ScheduledFlows' per-arc result, allocated by its first call
+	// and refilled by every call; the round pass keeps no per-arc Ŷ.
+	sched []float64 //lint:allow checkpointsync observer buffer, recomputed from the last round's inputs on every ScheduledFlows call
 	// flowsValid mirrors Continuous: SOS memory validity.
 	flowsValid bool
 
@@ -110,16 +112,39 @@ type Discrete struct {
 	passApplyFn func(s, lo, hi int)
 }
 
-// discreteShard is one shard's private scratch: compaction buffers for a
-// node's positive scheduled flows and a reusable RNG. The PCG is re-seeded
-// per node from (seed, round, node), so streams stay deterministic while
-// avoiding a generator allocation per node per round.
+// discreteShard is one shard's private scratch: a node's row of scheduled
+// flows Ŷ, compacted in place to the positive ones, their rounded flows
+// and arcs, and a reusable RNG. The PCG is re-seeded per node from (seed,
+// round, node), so streams stay deterministic while avoiding a generator
+// allocation per node per round.
+//
+// Every shard writes its scratch once per node, so no two shards' scratch
+// may share a cache block: the struct is padded by a block on both sides,
+// and each buffer is cut from an allocation of its own (see isolated).
 type discreteShard struct {
+	_    [cacheBlock]byte
 	vals []float64
 	out  []int64
 	arcs []int32
-	pcg  *rand.PCG
+	pcg  rand.PCG
 	rng  *rand.Rand
+	_    [cacheBlock]byte
+}
+
+// cacheBlock is the span of memory one core's write takes away from the
+// other cores: two 64-byte cache lines, which the adjacent-line prefetcher
+// fetches as a pair.
+const cacheBlock = 128
+
+// isolatedPad is the padding isolated puts on each side, in elements: at
+// least cacheBlock bytes for elements of 4 or 8 bytes.
+const isolatedPad = cacheBlock / 4
+
+// isolated returns n zero elements cut from an allocation that extends
+// isolatedPad elements past both ends, so nothing else in memory shares a
+// cache block with them.
+func isolated[T int32 | int64 | float64](n int) []T {
+	return make([]T, isolatedPad+n+isolatedPad)[isolatedPad : isolatedPad+n : isolatedPad+n]
 }
 
 var _ Process = (*Discrete)(nil)
@@ -174,7 +199,6 @@ func newDiscrete(cfg Config, lay *shard.Layout, rounder Rounder, seed uint64, in
 		x:         make([]int64, n),
 		flows:     make([]int64, g.NumArcs()),
 		flowsNext: make([]int64, g.NumArcs()),
-		scheduled: make([]float64, g.NumArcs()),
 		z:         make([]float64, n+ghosts),
 		sh:        make([]discreteShard, k),
 		minT:      make([]int64, k),
@@ -182,15 +206,12 @@ func newDiscrete(cfg Config, lay *shard.Layout, rounder Rounder, seed uint64, in
 		movd:      make([]int64, k),
 		msgs:      make([]int64, k),
 	}
-	for s := 0; s < k; s++ {
-		pcg := rand.NewPCG(0, 0)
-		d.sh[s] = discreteShard{
-			vals: make([]float64, maxDeg),
-			out:  make([]int64, maxDeg),
-			arcs: make([]int32, maxDeg),
-			pcg:  pcg,
-			rng:  rand.New(pcg),
-		}
+	for s := range d.sh {
+		sc := &d.sh[s]
+		sc.vals = isolated[float64](maxDeg)
+		sc.out = isolated[int64](maxDeg)
+		sc.arcs = isolated[int32](maxDeg)
+		sc.rng = rand.New(&sc.pcg)
 	}
 	d.passZFn = d.passZ
 	d.passRoundFn = d.passRound
@@ -216,44 +237,40 @@ func (d *Discrete) passZ(_, lo, hi int) {
 }
 
 // passRound is the fused schedule+round kernel: for each node it computes
-// the scheduled flows Ŷ of its arcs and immediately rounds them into the
-// next flow buffer. Node i owns arc a=(i→j) iff Ŷ_a > 0, or Ŷ_a == 0 and
-// i < j; the owner writes the integer flow to both mate(a) and a, in that
-// order (see the halo note on Discrete). Exact IEEE antisymmetry
-// (Ŷ_mate = −Ŷ_a) makes ownership unique, so every arc of flowsNext is
-// written exactly once per round with no cross-shard races.
+// the scheduled flows Ŷ of its arcs into the shard's scratch row and
+// immediately rounds them into the next flow buffer. Node i owns arc
+// a=(i→j) iff Ŷ_a > 0, or Ŷ_a == 0 and i < j; the owner writes the integer
+// flow to both mate(a) and a, in that order (see the halo note on
+// Discrete). Exact IEEE antisymmetry (Ŷ_mate = −Ŷ_a) makes ownership
+// unique, so every arc of flowsNext is written exactly once per round with
+// no cross-shard races.
 //
 //lbvet:hotpath per-round fused kernel over every arc
 func (d *Discrete) passRound(s, lo, hi int) {
 	// The cold tie and write-back paths read arcs and mates through d, so
 	// the arc loops keep few slices live and their counters stay in
 	// registers.
-	offsets, heads, sched := d.offsets, d.heads, d.scheduled
+	offsets, heads := d.offsets, d.heads
 	alpha := d.stepAlpha
 	prev, next := d.flows, d.flowsNext
 	second, sigma, beta := d.stepSecond, d.stepSigma, d.stepBeta
 	sc := &d.sh[s]
 	vals, out, arcIdx := sc.vals, sc.out, sc.arcs
-	pcg, rng := sc.pcg, sc.rng
+	pcg, rng := &sc.pcg, sc.rng
 	for i := lo; i < hi; i++ {
 		zi := d.z[i]
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			grad := alpha[a] * (zi - d.z[heads[a]])
-			y := grad
-			if second {
-				// float64(...) rounds each product, which keeps arm64 from
-				// fusing them into one multiply-add (make fma-check).
-				y = float64(sigma*float64(prev[a])) + float64(beta*grad)
-			}
-			sched[a] = y
+		first := offsets[i]
+		for a := first; a < offsets[i+1]; a++ {
+			vals[a-first] = yhat(alpha[a], zi, d.z[heads[a]], prev[a], second, sigma, beta)
 		}
-		// Compact the node's positive flows once all of them are computed,
-		// so no store address waits on a gathered z[heads[a]]: store every
-		// arc and advance the count only past positive ones, with no branch
-		// on y's sign.
+		// Compact the node's positive flows in place once all of them are
+		// computed, so no store address waits on a gathered z[heads[a]]:
+		// store every arc and advance the count only past positive ones,
+		// with no branch on y's sign. The count never passes the arc being
+		// read, so the row is read before it is overwritten.
 		cnt := 0
-		for a := offsets[i]; a < offsets[i+1]; a++ {
-			y := sched[a]
+		for a := first; a < offsets[i+1]; a++ {
+			y := vals[a-first]
 			vals[cnt] = y
 			out[cnt] = 0
 			arcIdx[cnt] = a
@@ -277,6 +294,20 @@ func (d *Discrete) passRound(s, lo, hi int) {
 			next[a] = out[k]
 		}
 	}
+}
+
+// yhat is the scheduled flow Ŷ of one arc i→j (Definition 1): the FOS
+// gradient α(z_i − z_j), or with SOS memory σ·y(t−1) + β·α(z_i − z_j),
+// σ = β − 1. The round pass and ScheduledFlows both evaluate it, so the
+// flows an observer sees are the flows the rounding saw, bit for bit.
+func yhat(alpha, zi, zj float64, prev int64, second bool, sigma, beta float64) float64 {
+	grad := alpha * (zi - zj)
+	if !second {
+		return grad
+	}
+	// float64(...) rounds each product, which keeps arm64 from fusing them
+	// into one multiply-add (make fma-check).
+	return float64(sigma*float64(prev)) + float64(beta*grad)
 }
 
 // positive returns 1 if y > 0 and 0 otherwise; the compiler turns the
@@ -478,8 +509,29 @@ func (d *Discrete) LoadsInt() []int64 { return d.x }
 func (d *Discrete) Flows() []int64 { return d.flows }
 
 // ScheduledFlows returns the per-arc continuous scheduled flows Ŷ of the
-// last completed round (read-only view), i.e. what the rounding saw.
-func (d *Discrete) ScheduledFlows() []float64 { return d.scheduled }
+// last completed round, i.e. what the rounding saw; all zeros before the
+// first round. The round pass keeps no per-arc Ŷ, so each call recomputes
+// it from what the engine still holds of that round: z with its ghost
+// slots, the stale flow buffer (the y(t−1) the round read) and the latched
+// round parameters, none of which a between-rounds method changes. The
+// result is a read-only view into a buffer the first call allocates and
+// every later call overwrites.
+func (d *Discrete) ScheduledFlows() []float64 {
+	if d.sched == nil {
+		d.sched = make([]float64, len(d.flows))
+	}
+	if d.stepAlpha == nil {
+		return d.sched
+	}
+	offsets, alpha, prev := d.offsets, d.stepAlpha, d.flowsNext
+	for i := 0; i+1 < len(offsets); i++ {
+		zi := d.z[i]
+		for a := offsets[i]; a < offsets[i+1]; a++ {
+			d.sched[a] = yhat(alpha[a], zi, d.z[d.heads[a]], prev[a], d.stepSecond, d.stepSigma, d.stepBeta)
+		}
+	}
+	return d.sched
+}
 
 // Rounder returns the rounding scheme in use.
 func (d *Discrete) Rounder() Rounder { return d.rounder }
@@ -488,16 +540,17 @@ func (d *Discrete) Rounder() Rounder { return d.rounder }
 func (d *Discrete) Seed() uint64 { return d.seed }
 
 // MemoryFootprint returns the resident bytes of the process's own arrays
-// (loads, both flow buffers, scheduled flows, normalized loads, per-shard
-// scratch) — the engine share of the bytes/node the scale benchmarks
-// report; graph and operator storage are accounted by their own
-// MemoryFootprint methods.
+// (loads, both flow buffers, normalized loads, per-shard scratch with its
+// padding, and ScheduledFlows' buffer once a call has allocated it) — the
+// engine share of the bytes/node the scale benchmarks report; graph and
+// operator storage are accounted by their own MemoryFootprint methods.
 func (d *Discrete) MemoryFootprint() int64 {
 	bytes := int64(len(d.x))*8 + int64(len(d.flows)+len(d.flowsNext))*8 +
-		int64(len(d.scheduled))*8 + int64(len(d.z))*8
+		int64(len(d.z))*8 + int64(len(d.sched))*8
 	for s := range d.sh {
 		sc := &d.sh[s]
-		bytes += int64(len(sc.vals))*8 + int64(len(sc.out))*8 + int64(len(sc.arcs))*4
+		bytes += int64(len(sc.vals)+2*isolatedPad)*8 + int64(len(sc.out)+2*isolatedPad)*8 +
+			int64(len(sc.arcs)+2*isolatedPad)*4
 	}
 	bytes += int64(len(d.minT)+len(d.minE)+len(d.movd)+len(d.msgs)) * 8
 	if d.credit != nil { // a halo engine owns its head and mate maps
