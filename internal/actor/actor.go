@@ -12,14 +12,16 @@
 // with explicit communication at the two points where the lockstep engine
 // reads across shard boundaries:
 //
-//  1. normalize its own loads z_i = x_i/s_i, then send one zMsg per
-//     outgoing link (the boundary z values its neighbors' gradients need),
-//     receive one per incoming link into a version ring, and copy the
-//     selected version into the link's ghost slots of z;
+//  1. normalize its own loads z_i = x_i/s_i, write the boundary z values
+//     its neighbors' gradients need into each outgoing link's version row
+//     and send one zMsg per outgoing link; receive one per incoming link
+//     and copy the selected version, read from the sender's row, into the
+//     link's ghost slots of z;
 //  2. zero its cut arcs, compute and round its own scheduled flows Ŷ
-//     (remote heads read from the ghost slots), then send one fluxMsg per
-//     outgoing link (the tokens sent on the cut arcs), and receive
-//     incoming flux as a per-node credit;
+//     (remote heads read from the ghost slots), write the tokens sent on
+//     each outgoing link's cut arcs into its flux row and send one fluxMsg
+//     per outgoing link, and receive incoming flux, read from the
+//     sender's rows, as a per-node credit;
 //  3. apply: debit sent tokens, add the credit, record the transient and
 //     end-of-round minima and traffic counts in the shard's reduction
 //     slot, then subtract the credited tokens from the cut arcs, so a cut
@@ -149,10 +151,11 @@ func (a *actorState) step() {
 	sw := r.tel.StartActorRound(a.id)
 	h.PassZ(a.id, a.lo, a.hi)
 	for _, l := range a.out {
+		row := l.zRows[t%span]
 		for k, i := range l.sendNodes {
-			l.zBuf[k] = z[i]
+			row[k] = z[i]
 		}
-		l.zCh <- zMsg{round: t, z: l.zBuf}
+		l.zCh <- zMsg{round: t}
 		for _, arc := range l.cutArcs {
 			next[arc] = 0
 		}
@@ -162,20 +165,21 @@ func (a *actorState) step() {
 		if m.round != t {
 			panic(fmt.Sprintf("actor: z message for round %d received in round %d on link %d->%d", m.round, t, l.src, l.dst))
 		}
-		copy(l.zRing[t%span], m.z)
 		a.lag[li] = a.lagOf(l, t)
-		copy(z[l.ghost:], l.zRing[(t-a.lag[li])%span])
+		copy(z[l.ghost:], l.zRows[(t-a.lag[li])%span])
 	}
 	h.PassRound(a.id, a.lo, a.hi)
 	for _, l := range a.out {
+		row := l.fRows[t%span]
 		var tot int64
 		for k, arc := range l.cutArcs {
 			f := next[arc]
-			l.fBuf[k] = f
+			row[k] = f
 			tot += f
 		}
+		l.fSums[t%span] = tot
 		l.sentTotal += tot
-		l.fCh <- fluxMsg{round: t, flux: l.fBuf, total: tot}
+		l.fCh <- fluxMsg{round: t}
 		r.tel.LinkSent(t, l.src, l.dst)
 	}
 	for li, l := range a.in {
@@ -183,14 +187,12 @@ func (a *actorState) step() {
 		if m.round != t {
 			panic(fmt.Sprintf("actor: flux message for round %d received in round %d on link %d->%d", m.round, t, l.src, l.dst))
 		}
-		copy(l.fRing[t%span], m.flux)
-		l.fRingSum[t%span] = m.total
 		for v := l.applied + 1; v <= t-a.lag[li]; v++ {
-			row := l.fRing[v%span]
+			row := l.fRows[v%span]
 			for k, i := range l.recvNodes {
 				credit[i] += row[k]
 			}
-			l.appliedTotal += l.fRingSum[v%span]
+			l.appliedTotal += l.fSums[v%span]
 		}
 		r.tel.LinkReceived(t, l.dst, l.src, a.lag[li])
 	}
@@ -201,7 +203,7 @@ func (a *actorState) step() {
 	for li, l := range a.in {
 		thru := t - a.lag[li]
 		for v := l.applied + 1; v <= thru; v++ {
-			row := l.fRing[v%span]
+			row := l.fRows[v%span]
 			for k, arc := range l.recvArcs {
 				next[arc] -= row[k]
 			}
@@ -278,9 +280,9 @@ func (r *Runtime) Stale() int { return r.stale }
 func (r *Runtime) Options() Options { return Options{Actors: len(r.act), Stale: r.stale} }
 
 // MemoryFootprint returns the resident bytes of the runtime's own arrays:
-// the engine's (halo maps and ghost slots included), and per-link buffers
-// and version rings — the price of the message-passing transport relative
-// to the shared-memory engine.
+// the engine's (halo maps and ghost slots included), and each link's index
+// lists and version rows — the price of the message-passing transport
+// relative to the shared-memory engine.
 func (r *Runtime) MemoryFootprint() int64 {
 	bytes := r.discrete.MemoryFootprint()
 	for s := range r.act {
@@ -288,9 +290,9 @@ func (r *Runtime) MemoryFootprint() int64 {
 	}
 	for _, l := range r.links {
 		bytes += int64(len(l.sendNodes)+len(l.cutArcs)+len(l.recvArcs)+len(l.recvNodes)) * 4
-		bytes += int64(len(l.zBuf))*8 + int64(len(l.fBuf))*8 + int64(len(l.fRingSum))*8
-		for v := range l.zRing {
-			bytes += int64(len(l.zRing[v]))*8 + int64(len(l.fRing[v]))*8
+		bytes += int64(len(l.fSums)) * 8
+		for v := range l.zRows {
+			bytes += int64(len(l.zRows[v]))*8 + int64(len(l.fRows[v]))*8
 		}
 	}
 	return bytes

@@ -14,7 +14,7 @@ import (
 // staleness 0, and the checkpoint restores into a runtime with ANY actor
 // count — including bit-identical continuation, which the equivalence
 // tests pin. Async checkpoints (Stale > 0) additionally capture the
-// transport — per-link version rings, applied counters and conservation
+// transport — per-link version rows, applied counters and conservation
 // totals (the in-flight flux) — which binds them to the same node
 // partition and staleness bound, recorded in Bounds and Stale.
 type Checkpoint struct {
@@ -29,8 +29,9 @@ type Checkpoint struct {
 }
 
 // LinkState is one link's transport snapshot: the identifying shard pair,
-// the applied-through version counter, the conservation totals and the raw
-// version ring rows (row v%(Stale+1) holds version v, exactly as resident).
+// the applied-through version counter, the conservation totals and the
+// sender's raw version rows (row v%(Stale+1) holds version v, exactly as
+// resident).
 type LinkState struct {
 	Src, Dst     int
 	Applied      int
@@ -59,13 +60,13 @@ func (r *Runtime) Checkpoint() Checkpoint {
 			Applied:      l.applied,
 			SentTotal:    l.sentTotal,
 			AppliedTotal: l.appliedTotal,
-			ZRows:        make([][]float64, len(l.zRing)),
-			FRows:        make([][]int64, len(l.fRing)),
-			FSums:        slices.Clone(l.fRingSum),
+			ZRows:        make([][]float64, len(l.zRows)),
+			FRows:        make([][]int64, len(l.fRows)),
+			FSums:        slices.Clone(l.fSums),
 		}
-		for v := range l.zRing {
-			ls.ZRows[v] = slices.Clone(l.zRing[v])
-			ls.FRows[v] = slices.Clone(l.fRing[v])
+		for v := range l.zRows {
+			ls.ZRows[v] = slices.Clone(l.zRows[v])
+			ls.FRows[v] = slices.Clone(l.fRows[v])
 		}
 		cp.Links[i] = ls
 	}
@@ -99,11 +100,11 @@ func (r *Runtime) Restore(cp Checkpoint) error {
 				return fmt.Errorf("%w: checkpoint link %d is %d->%d, runtime has %d->%d",
 					core.ErrBadConfig, i, ls.Src, ls.Dst, l.src, l.dst)
 			}
-			if len(ls.ZRows) != len(l.zRing) || len(ls.FRows) != len(l.fRing) || len(ls.FSums) != len(l.fRingSum) {
+			if len(ls.ZRows) != len(l.zRows) || len(ls.FRows) != len(l.fRows) || len(ls.FSums) != len(l.fSums) {
 				return fmt.Errorf("%w: checkpoint link %d->%d ring depth does not match", core.ErrBadConfig, l.src, l.dst)
 			}
-			for v := range l.zRing {
-				if len(ls.ZRows[v]) != len(l.zRing[v]) || len(ls.FRows[v]) != len(l.fRing[v]) {
+			for v := range l.zRows {
+				if len(ls.ZRows[v]) != len(l.zRows[v]) || len(ls.FRows[v]) != len(l.fRows[v]) {
 					return fmt.Errorf("%w: checkpoint link %d->%d ring width does not match", core.ErrBadConfig, l.src, l.dst)
 				}
 			}
@@ -118,11 +119,11 @@ func (r *Runtime) Restore(cp Checkpoint) error {
 			l.applied = ls.Applied
 			l.sentTotal = ls.SentTotal
 			l.appliedTotal = ls.AppliedTotal
-			for v := range l.zRing {
-				copy(l.zRing[v], ls.ZRows[v])
-				copy(l.fRing[v], ls.FRows[v])
+			for v := range l.zRows {
+				copy(l.zRows[v], ls.ZRows[v])
+				copy(l.fRows[v], ls.FRows[v])
 			}
-			copy(l.fRingSum, ls.FSums)
+			copy(l.fSums, ls.FSums)
 		} else {
 			// Barrier mode: every round applies its own flux, so the
 			// applied counter is derived from the round counter and no

@@ -6,25 +6,21 @@ import (
 	"diffusionlb/internal/shard"
 )
 
-// zMsg carries the sender's normalized boundary loads for one round:
-// z[k] is the normalized load of the sender's k-th boundary node toward
-// the receiving actor (link.sendNodes order). The slice aliases the
-// sender's reusable send buffer; the receiver copies it into its version
-// ring within the same round, and the driver joins all actors between
-// rounds — the happens-before edge that makes the buffer reuse safe.
+// zMsg announces that the sender has written its normalized boundary
+// loads for the round into the link's z version row. The receiver reads
+// the version it selects straight from the sender's rows, with no copy:
+// the channel receive orders the round's row write before that read, and
+// the driver's join of all actors between rounds orders every earlier
+// one.
 type zMsg struct {
 	round int
-	z     []float64
 }
 
-// fluxMsg carries the integer flows the sender rounded onto the link's
-// cut arcs this round (link.cutArcs order) plus their sum, so the
-// receiver can maintain the link's conservation accounting without a
-// second pass.
+// fluxMsg announces that the sender has written the integer flows it
+// rounded onto the link's cut arcs this round, and their sum, into the
+// link's flux version row; the receiver credits them from there.
 type fluxMsg struct {
 	round int
-	flux  []int64
-	total int64
 }
 
 // link is one directed communication edge between two actors that share
@@ -34,8 +30,8 @@ type fluxMsg struct {
 // drained in the round they are filled.
 //
 // Field ownership is split by role so the two endpoint actors never race:
-// the source actor writes the send buffers and sentTotal, the destination
-// actor writes the version rings, applied and appliedTotal.
+// the source actor writes the version rows and sentTotal, the destination
+// actor only reads the rows and writes applied and appliedTotal.
 type link struct {
 	src, dst int
 
@@ -51,17 +47,16 @@ type link struct {
 	zCh chan zMsg
 	fCh chan fluxMsg
 
-	// Sender-owned reusable message buffers.
-	zBuf []float64
-	fBuf []int64
-
-	// Receiver-owned version rings: row v%(stale+1) holds version v. With
-	// staleness bound S, round t reads z version t−lag ≥ t−S and applies
-	// flux versions through t−lag, so a row is never overwritten (at
-	// version v+S+1) before its content was consumed.
-	zRing    [][]float64
-	fRing    [][]int64
-	fRingSum []int64
+	// Sender-written version rows: row v%(stale+1) holds version v of
+	// the boundary z values (sendNodes order), of the cut-arc flows
+	// (cutArcs order) and of their sum. With staleness bound S, round t
+	// reads z version t−lag ≥ t−S and credits flux versions through
+	// t−lag, so version v is read only in rounds v..v+S, and its row is
+	// rewritten in round v+S+1, which starts after every actor has
+	// finished round v+S.
+	zRows [][]float64
+	fRows [][]int64
+	fSums []int64
 
 	// applied is the newest flux version credited to dst's nodes
 	// (receiver-owned; −1 before the first round).
@@ -139,10 +134,9 @@ func buildTopology(r *Runtime, lay *shard.Layout) (heads, mates []int32, ghosts 
 				ghost:     n + ghosts,
 				zCh:       make(chan zMsg, 1),
 				fCh:       make(chan fluxMsg, 1),
-				fBuf:      make([]int64, len(cut)),
-				fRing:     make([][]int64, span),
-				fRingSum:  make([]int64, span),
-				zRing:     make([][]float64, span),
+				zRows:     make([][]float64, span),
+				fRows:     make([][]int64, span),
+				fSums:     make([]int64, span),
 				applied:   -1,
 			}
 			// Tails arrive in non-decreasing order (the scan walks nodes in
@@ -162,10 +156,9 @@ func buildTopology(r *Runtime, lay *shard.Layout) (heads, mates []int32, ghosts 
 			}
 			ghosts += len(send)
 			l.sendNodes = send
-			l.zBuf = make([]float64, len(send))
 			for v := 0; v < span; v++ {
-				l.zRing[v] = make([]float64, len(send))
-				l.fRing[v] = make([]int64, len(cut))
+				l.zRows[v] = make([]float64, len(send))
+				l.fRows[v] = make([]int64, len(cut))
 			}
 			r.links = append(r.links, l)
 		}
