@@ -306,7 +306,7 @@ func VerifyLemma2(op *spectral.Operator, kind core.Kind, beta float64,
 			}
 			i, j := ed[0], ed[1]
 			for k := 0; k < n; k++ {
-				predicted[k] += ev * (qt.At(k, i) - qt.At(k, j))
+				predicted[k] += float64(ev * (qt.At(k, i) - qt.At(k, j)))
 			}
 		}
 	}
@@ -346,7 +346,7 @@ func Theorem10Bound(n int, delta0, lambda float64) float64 {
 // x̆_i(t) >= −O((√n·Δ(0) + d²)/√(1−λ)).
 func Theorem11Bound(n int, delta0, lambda float64, maxDegree int) float64 {
 	d := float64(maxDegree)
-	return -(math.Sqrt(float64(n))*delta0 + d*d) / math.Sqrt(1-lambda)
+	return -(float64(math.Sqrt(float64(n))*delta0) + float64(d*d)) / math.Sqrt(1-lambda)
 }
 
 // Delta0 computes Δ(0) = max_i x_i − x̄ for an integer load vector.

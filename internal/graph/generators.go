@@ -463,14 +463,12 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 		}
 	}
 
+	if !opts.KeepDisconnected {
+		edges = connectToGiant(n, pts, edges)
+	}
+	// Patching is part of the deterministic (spec, seed) construction, so
+	// the patched graph keeps the canonical spec as its name.
 	g, err := fromEdges(fmt.Sprintf("rgg:%d", n), n, edges)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.KeepDisconnected {
-		return g, pts, nil
-	}
-	g, err = connectToGiant(g, pts, edges)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -479,11 +477,13 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 
 // connectToGiant implements the paper's patch-up: every component other than
 // the largest is connected to its geometrically closest node in the largest
-// component.
-func connectToGiant(g *Graph, pts []Point, edges [][2]int32) (*Graph, error) {
-	comp, count := g.ConnectedComponents()
+// component. It returns edges with one patch edge per such component
+// appended, in component order. Each patch edge joins a different
+// component to the giant one, so none repeats an edge.
+func connectToGiant(n int, pts []Point, edges [][2]int32) [][2]int32 {
+	comp, count := components(n, edges)
 	if count <= 1 {
-		return g, nil
+		return edges
 	}
 	sizes := make([]int, count)
 	for _, c := range comp {
@@ -522,20 +522,55 @@ func connectToGiant(g *Graph, pts []Point, edges [][2]int32) (*Graph, error) {
 		}
 		edges = append(edges, orient(bu, bv))
 	}
-	// Patching is part of the deterministic (spec, seed) construction, so
-	// the patched graph keeps the canonical spec as its name. Each patch
-	// edge joins a different component to the giant one, so none repeats
-	// an edge.
-	return fromEdges(g.Name(), g.NumNodes(), edges)
+	return edges
+}
+
+// components labels the connected components of the graph on n nodes with
+// the given edges by a union-find over the edge list, with no CSR build.
+// Each union hangs the larger root under the smaller, so every root is its
+// component's smallest node, and components are numbered in the order of
+// their smallest nodes: the discovery order of Graph.ConnectedComponents.
+func components(n int, edges [][2]int32) (comp []int32, count int) {
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(u int32) int32 {
+		for parent[u] != u {
+			parent[u] = parent[parent[u]]
+			u = parent[u]
+		}
+		return u
+	}
+	for _, e := range edges {
+		a, b := find(e[0]), find(e[1])
+		if a > b {
+			a, b = b, a
+		}
+		parent[b] = a
+	}
+	comp = make([]int32, n)
+	for i := range comp {
+		if r := find(int32(i)); r < int32(i) {
+			comp[i] = comp[r]
+		} else {
+			comp[i] = int32(count)
+			count++
+		}
+	}
+	return comp, count
 }
 
 // Point is a 2-D coordinate used by the random geometric graph generator.
 type Point struct{ X, Y float64 }
 
-// Dist2 returns the squared Euclidean distance between p and q.
+// Dist2 returns the squared Euclidean distance between p and q. Each
+// square is rounded on its own (float64(...)), so arm64 cannot fuse the
+// sum into a multiply-add and connect other rgg pairs than amd64 does
+// (make fma-check).
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // ErdosRenyi returns G(n, p) conditioned on simplicity, as an auxiliary

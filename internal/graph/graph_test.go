@@ -467,3 +467,30 @@ func TestPropertyMateInvolution(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestComponentsMatchConnectedComponents: the union-find rgg patches with
+// labels every node exactly as Graph.ConnectedComponents does (components
+// numbered by their smallest node), on disconnected rgg edge lists and on
+// one with a single component.
+func TestComponentsMatchConnectedComponents(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		radius float64
+		seed   uint64
+	}{{200, 0, 1}, {200, 0, 7}, {2500, 0.45, 3}, {400, 30, 5}} {
+		g, _, err := RandomGeometric(tc.n, tc.seed, GeometricOptions{Radius: tc.radius, KeepDisconnected: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges [][2]int32
+		for _, e := range g.Edges() {
+			edges = append(edges, [2]int32{int32(e[0]), int32(e[1])})
+		}
+		got, gotCount := components(tc.n, edges)
+		want, wantCount := g.ConnectedComponents()
+		if gotCount != wantCount || !slices.Equal(got, want) {
+			t.Errorf("rgg:%d r=%g seed %d: union-find finds %d components, ConnectedComponents %d (labels equal: %v)",
+				tc.n, tc.radius, tc.seed, gotCount, wantCount, slices.Equal(got, want))
+		}
+	}
+}
