@@ -260,18 +260,20 @@ func (d *Discrete) passRound(s, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zi := d.z[i]
 		first := offsets[i]
-		for a := first; a < offsets[i+1]; a++ {
-			vals[a-first] = yhat(alpha[a], zi, d.z[heads[a]], prev[a], second, sigma, beta)
+		row := vals[:offsets[i+1]-first]
+		for k := range row {
+			a := first + int32(k)
+			row[k] = yhat(alpha[a], zi, d.z[heads[a]], prev[a], second, sigma, beta)
 		}
 		// Compact the node's positive flows in place once all of them are
 		// computed, so no store address waits on a gathered z[heads[a]]:
 		// store every arc and advance the count only past positive ones,
 		// with no branch on y's sign. The count never passes the arc being
-		// read, so the row is read before it is overwritten.
+		// read, so each entry is read before it is overwritten.
 		cnt := 0
-		for a := first; a < offsets[i+1]; a++ {
-			y := vals[a-first]
-			vals[cnt] = y
+		for k, y := range row {
+			a := first + int32(k)
+			row[cnt] = y
 			out[cnt] = 0
 			arcIdx[cnt] = a
 			cnt += positive(y)
