@@ -1,10 +1,11 @@
 // Package actor is the message-passing shard-actor runtime: each shard of
 // a shard.Layout partition becomes an actor that owns its contiguous node
 // and arc ranges, and neighboring actors exchange per-round boundary
-// messages over channels instead of reading each other's memory — the
+// messages over channels instead of reading each other's state — the
 // architectural step from the lockstep shared-memory simulator toward the
 // paper's distributed setting, where nodes exchange load over edges
-// (ICDCS'15, Section II).
+// (ICDCS'15, Section II). A message's payload is a version row its sender
+// wrote on the link; the receiver reads the row in place.
 //
 // The actors run core.Discrete's own kernel. The runtime builds a
 // core.Discrete on its partition through core.NewHalo, and per logical

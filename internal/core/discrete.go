@@ -522,7 +522,7 @@ func (d *Discrete) ScheduledFlows() []float64 {
 	if d.sched == nil {
 		d.sched = make([]float64, len(d.flows))
 	}
-	if d.stepAlpha == nil {
+	if d.stepAlpha == nil { // no round has latched its parameters yet
 		return d.sched
 	}
 	offsets, alpha, prev := d.offsets, d.stepAlpha, d.flowsNext
