@@ -274,7 +274,6 @@ func TestCumulativeRestoreValidation(t *testing.T) {
 	cp.Cont.Kind = Kind(99)
 	rejected("invalid wrapped kind", cp)
 	cp = p.Checkpoint()
-	cp.Round = 999
 	cp.Cont.Round = 999
 	cp.Cont.Loads[0] = 7
 	cp.Cont.Beta = 7.5

@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/shard"
-	"diffusionlb/internal/spectral"
 )
 
 // Continuous is the idealized diffusion process: loads are arbitrarily
@@ -21,41 +20,20 @@ import (
 // steady-state round allocates nothing. On homogeneous speeds the
 // normalization pass disappears entirely: z is the load vector itself.
 type Continuous struct {
-	//lint:allow checkpointsync operator state is replayed by the resuming driver, see Checkpoint.Retargets
-	op      *spectral.Operator
-	kind    Kind
-	beta    float64
-	lay     *shard.Layout
-	offsets []int32
-	arcs    []int32
+	roundState // operator, scheme, round counters and latched round parameters
 
 	x     []float64 // loads at the beginning of the current round
 	next  []float64 //lint:allow checkpointsync scratch for x(t+1), swapped into x at the end of every Step
 	flows []float64 // y(t-1) per arc; valid iff flowsValid
 	z     []float64 //lint:allow checkpointsync scratch x_i/s_i, recomputed by passZ before any read
-	// flowsValid records whether flows holds the previous round's flows;
-	// an SOS round with invalid memory runs the FOS recurrence (this is
-	// exactly the scheme's t=0 rule, and it reapplies after a SetKind).
-	flowsValid bool
 
-	round              int
-	minTransient       float64
-	negTransientRounds int
-	initialTotal       float64
-	retargetCount      int
+	minTransient float64
+	initialTotal float64
 
 	// Per-shard reduction slots, sized at construction.
 	minT []float64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
-	negT []bool    //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 
-	// Round-scoped parameters for the pass methods (see Discrete for why
-	// these are fields and the passes are method values bound once).
-	stepSp     *hetero.Speeds //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepAlpha  []float64      //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepZ      []float64      //lint:allow checkpointsync round-scoped alias of c.z (or c.x on homogeneous speeds)
-	stepSecond bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepBeta   float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSigma  float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	stepZ []float64 //lint:allow checkpointsync round-scoped alias of c.z (or c.x on homogeneous speeds)
 
 	passZFn    func(s, lo, hi int)
 	passFlowFn func(s, lo, hi int)
@@ -77,19 +55,13 @@ func NewContinuous(cfg Config, initial []float64) (*Continuous, error) {
 	}
 	lay := shard.ForWorkers(g, cfg.Workers)
 	c := &Continuous{
-		op:           cfg.Op,
-		kind:         cfg.Kind,
-		beta:         cfg.Beta,
-		lay:          lay,
-		offsets:      g.Offsets(),
-		arcs:         g.Arcs(),
+		roundState:   newRoundState(cfg, lay),
 		x:            make([]float64, n),
 		next:         make([]float64, n),
 		z:            make([]float64, n),
 		flows:        make([]float64, g.NumArcs()),
 		minTransient: math.Inf(1),
 		minT:         make([]float64, lay.Shards()),
-		negT:         make([]bool, lay.Shards()),
 	}
 	c.passZFn = c.passZ
 	c.passFlowFn = c.passFlowApply
@@ -146,24 +118,18 @@ func (c *Continuous) passFlowApply(s, lo, hi int) {
 		c.next[i] = c.x[i] - outSum
 	}
 	c.minT[s] = localMin
-	c.negT[s] = localMin < 0
 }
 
 // Step executes one synchronous continuous round.
 //
 //lbvet:hotpath runs every round; must stay allocation-free in steady state
 func (c *Continuous) Step() {
-	sp := speedsOf(c.op)
-	c.stepSp = sp
-	c.stepAlpha = c.op.AlphaView()
-	c.stepSecond = c.kind == SOS && c.flowsValid
-	c.stepBeta = c.beta
-	c.stepSigma = c.beta - 1
+	c.latchRound()
 
 	// Normalized loads z_i = x_i/s_i (the heterogeneous flow potential).
 	// Homogeneous speeds make z the load vector itself — the fused pass
 	// only reads x, so aliasing is safe and skips a full pass over n.
-	if sp.IsHomogeneous() {
+	if c.stepHomog {
 		c.stepZ = c.x
 	} else {
 		c.stepZ = c.z
@@ -173,49 +139,21 @@ func (c *Continuous) Step() {
 	c.lay.Run(c.passFlowFn)
 
 	anyNeg := false
-	for s := 0; s < c.lay.Shards(); s++ {
-		if c.minT[s] < c.minTransient {
-			c.minTransient = c.minT[s]
+	for _, m := range c.minT {
+		if m < c.minTransient {
+			c.minTransient = m
 		}
-		anyNeg = anyNeg || c.negT[s]
-	}
-	if anyNeg {
-		c.negTransientRounds++
+		anyNeg = anyNeg || m < 0
 	}
 
 	c.x, c.next = c.next, c.x
-	if c.kind == SOS {
-		c.flowsValid = true
-	}
-	c.round++
+	c.closeRound(anyNeg)
 }
-
-// Round returns the number of completed rounds.
-func (c *Continuous) Round() int { return c.round }
-
-// Kind returns the current scheme order.
-func (c *Continuous) Kind() Kind { return c.kind }
 
 // GuaranteesNonNegative implements core.NonNegativeGuarantor: the FOS
 // iteration applies the entrywise non-negative M, so a non-negative vector
 // stays non-negative; SOS makes no such guarantee (Section V).
 func (c *Continuous) GuaranteesNonNegative() bool { return c.kind == FOS }
-
-// SetKind switches the scheme for subsequent rounds. Switching to SOS
-// (re)starts its flow memory with an FOS round.
-func (c *Continuous) SetKind(k Kind) {
-	if k == c.kind {
-		return
-	}
-	c.kind = k
-	c.flowsValid = false
-}
-
-// Operator returns the diffusion operator.
-func (c *Continuous) Operator() *spectral.Operator { return c.op }
-
-// ShardLayout implements Sharded.
-func (c *Continuous) ShardLayout() *shard.Layout { return c.lay }
 
 // Loads returns the current load vector as a float view.
 func (c *Continuous) Loads() LoadView { return LoadView{Float: c.x} }
@@ -230,47 +168,12 @@ func (c *Continuous) Flows() []float64 { return c.flows }
 // MemoryFootprint returns the resident bytes of the process's own arrays;
 // graph and operator storage are accounted separately.
 func (c *Continuous) MemoryFootprint() int64 {
-	return int64(len(c.x)+len(c.next)+len(c.z)+len(c.flows)+len(c.minT))*8 +
-		int64(len(c.negT))
+	return int64(len(c.x)+len(c.next)+len(c.z)+len(c.flows)+len(c.minT)) * 8
 }
 
 // MinTransient returns the smallest transient load observed so far
 // (+Inf before the first round).
 func (c *Continuous) MinTransient() float64 { return c.minTransient }
-
-// NegativeTransientRounds counts rounds with a negative transient load.
-func (c *Continuous) NegativeTransientRounds() int { return c.negTransientRounds }
-
-// Retarget implements Retargeter: it installs op (over the same graph
-// shape) as the diffusion operator for subsequent rounds; loads, SOS flow
-// memory and the round counter are untouched. The engine reads α through
-// the operator's shard view every step, so no per-arc copying happens here.
-//
-//lbvet:hotpath speed events are O(1) on the engine side and may fire every round
-func (c *Continuous) Retarget(op *spectral.Operator) error {
-	if err := retargetCheck(op, len(c.x), len(c.flows)); err != nil {
-		return err
-	}
-	c.op = op
-	c.retargetCount++
-	return nil
-}
-
-// Retargets returns the number of operator changes applied so far.
-func (c *Continuous) Retargets() int { return c.retargetCount }
-
-// Beta returns the current second-order parameter β.
-func (c *Continuous) Beta() float64 { return c.beta }
-
-// SetBeta implements BetaSetter: it installs β for subsequent rounds,
-// leaving loads, flow memory and the round counter untouched.
-func (c *Continuous) SetBeta(beta float64) error {
-	if err := betaCheck(beta); err != nil {
-		return err
-	}
-	c.beta = beta
-	return nil
-}
 
 // Inject implements Injector: it adds deltas to the loads between rounds.
 // The injected totals are folded into the conservation baseline, so
@@ -288,42 +191,27 @@ func (c *Continuous) Inject(deltas []int64) error {
 }
 
 // ContinuousCheckpoint captures the resumable state of a Continuous
-// process: loads, the SOS flow memory, and the diagnostics counters, in the
-// same shape as Discrete's Checkpoint. Operator state is not captured — the
-// resuming driver replays the speed trajectory (see Retargets).
+// process: the round header (see CheckpointHeader), loads, the SOS flow
+// memory and the diagnostics counters, in the same shape as Discrete's
+// Checkpoint.
 type ContinuousCheckpoint struct {
-	Round              int
-	Kind               Kind
-	FlowsValid         bool
-	Loads              []float64
-	Flows              []float64
-	MinTransient       float64
-	NegTransientRounds int
-	InitialTotal       float64
-	Retargets          int
-	// Beta is the second-order parameter at the snapshot; Restore ignores a
-	// zero value (older snapshots), keeping the process's current β.
-	Beta float64
+	CheckpointHeader
+	Loads        []float64
+	Flows        []float64
+	MinTransient float64
+	InitialTotal float64
 }
 
 // Checkpoint returns a deep copy of the resumable state; Restore on a
 // process over the same graph yields a bit-identical continuation.
 func (c *Continuous) Checkpoint() ContinuousCheckpoint {
-	cp := ContinuousCheckpoint{
-		Round:              c.round,
-		Kind:               c.kind,
-		FlowsValid:         c.flowsValid,
-		Loads:              make([]float64, len(c.x)),
-		Flows:              make([]float64, len(c.flows)),
-		MinTransient:       c.minTransient,
-		NegTransientRounds: c.negTransientRounds,
-		InitialTotal:       c.initialTotal,
-		Retargets:          c.retargetCount,
-		Beta:               c.beta,
+	return ContinuousCheckpoint{
+		CheckpointHeader: c.roundState.Checkpoint(),
+		Loads:            slices.Clone(c.x),
+		Flows:            slices.Clone(c.flows),
+		MinTransient:     c.minTransient,
+		InitialTotal:     c.initialTotal,
 	}
-	copy(cp.Loads, c.x)
-	copy(cp.Flows, c.flows)
-	return cp
 }
 
 // Restore replaces the process state with a checkpoint taken from a process
@@ -333,26 +221,13 @@ func (c *Continuous) Restore(cp ContinuousCheckpoint) error {
 		return fmt.Errorf("%w: checkpoint shape %d/%d does not match process %d/%d",
 			ErrBadConfig, len(cp.Loads), len(cp.Flows), len(c.x), len(c.flows))
 	}
-	switch cp.Kind {
-	case FOS, SOS:
-	default:
-		return fmt.Errorf("%w: checkpoint has invalid kind %d", ErrBadConfig, int(cp.Kind))
+	if err := c.roundState.Restore(cp.CheckpointHeader); err != nil {
+		return err
 	}
-	if cp.Beta != 0 {
-		if err := betaCheck(cp.Beta); err != nil {
-			return err
-		}
-		c.beta = cp.Beta
-	}
-	c.round = cp.Round
-	c.kind = cp.Kind
-	c.flowsValid = cp.FlowsValid
 	copy(c.x, cp.Loads)
 	copy(c.flows, cp.Flows)
 	c.minTransient = cp.MinTransient
-	c.negTransientRounds = cp.NegTransientRounds
 	c.initialTotal = cp.InitialTotal
-	c.retargetCount = cp.Retargets
 	return nil
 }
 

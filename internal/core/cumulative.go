@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"diffusionlb/internal/shard"
 	"diffusionlb/internal/spectral"
@@ -27,15 +28,12 @@ import (
 // continuous flows, so the whole discretization is one fused pass per
 // shard with preallocated reduction slots.
 type CumulativeDiscrete struct {
-	cont    *Continuous
-	lay     *shard.Layout
-	offsets []int32
+	cont *Continuous // the reference, whose round is the process's
 
 	x        []int64   // discrete loads
 	sent     []int64   // cumulative integer flow per arc
 	cumFlows []float64 // cumulative continuous flow Φ per arc
 
-	round              int
 	minTransient       int64
 	minTransientSet    bool
 	negTransientRounds int
@@ -68,8 +66,6 @@ func NewCumulativeDiscrete(cfg Config, initial []int64) (*CumulativeDiscrete, er
 	}
 	c := &CumulativeDiscrete{
 		cont:     cont,
-		lay:      cont.lay,
-		offsets:  cfg.Op.Graph().Offsets(),
 		x:        make([]int64, n),
 		sent:     make([]int64, cfg.Op.Graph().NumArcs()),
 		cumFlows: make([]float64, cfg.Op.Graph().NumArcs()),
@@ -85,7 +81,7 @@ func NewCumulativeDiscrete(cfg Config, initial []int64) (*CumulativeDiscrete, er
 //
 //lbvet:hotpath per-round fused kernel over every node and arc
 func (c *CumulativeDiscrete) passApply(s, lo, hi int) {
-	offsets := c.offsets
+	offsets := c.cont.offsets
 	contFlows := c.cont.flows
 	localMin := int64(math.MaxInt64)
 	for i := lo; i < hi; i++ {
@@ -115,10 +111,10 @@ func (c *CumulativeDiscrete) passApply(s, lo, hi int) {
 //lbvet:hotpath runs every round; must stay allocation-free in steady state
 func (c *CumulativeDiscrete) Step() {
 	c.cont.Step()
-	c.lay.Run(c.passFn)
+	c.cont.lay.Run(c.passFn)
 
 	anyNeg := false
-	for s := 0; s < c.lay.Shards(); s++ {
+	for s := 0; s < c.cont.lay.Shards(); s++ {
 		if !c.minTransientSet || c.minT[s] < c.minTransient {
 			c.minTransient = c.minT[s]
 			c.minTransientSet = true
@@ -130,11 +126,10 @@ func (c *CumulativeDiscrete) Step() {
 	if anyNeg {
 		c.negTransientRounds++
 	}
-	c.round++
 }
 
-// Round returns the number of completed rounds.
-func (c *CumulativeDiscrete) Round() int { return c.round }
+// Round returns the number of completed rounds, the reference's.
+func (c *CumulativeDiscrete) Round() int { return c.cont.Round() }
 
 // Kind returns the scheme order of the underlying continuous process.
 func (c *CumulativeDiscrete) Kind() Kind { return c.cont.Kind() }
@@ -146,7 +141,7 @@ func (c *CumulativeDiscrete) SetKind(k Kind) { c.cont.SetKind(k) }
 func (c *CumulativeDiscrete) Operator() *spectral.Operator { return c.cont.Operator() }
 
 // ShardLayout implements Sharded.
-func (c *CumulativeDiscrete) ShardLayout() *shard.Layout { return c.lay }
+func (c *CumulativeDiscrete) ShardLayout() *shard.Layout { return c.cont.lay }
 
 // Loads returns the current integer load vector.
 func (c *CumulativeDiscrete) Loads() LoadView { return LoadView{Int: c.x} }
@@ -210,11 +205,11 @@ func (c *CumulativeDiscrete) Inject(deltas []int64) error {
 }
 
 // CumulativeCheckpoint captures the resumable state of a CumulativeDiscrete
-// process: the wrapped continuous reference's checkpoint plus the integer
-// loads and the cumulative per-arc bookkeeping that defines the scheme.
+// process: the wrapped continuous reference's checkpoint (whose round is
+// the process's) plus the integer loads and the cumulative per-arc
+// bookkeeping that defines the scheme.
 type CumulativeCheckpoint struct {
 	Cont               ContinuousCheckpoint
-	Round              int
 	Loads              []int64
 	Sent               []int64
 	CumFlows           []float64
@@ -226,20 +221,15 @@ type CumulativeCheckpoint struct {
 // Checkpoint returns a deep copy of the resumable state; Restore on a
 // process over the same graph yields a bit-identical continuation.
 func (c *CumulativeDiscrete) Checkpoint() CumulativeCheckpoint {
-	cp := CumulativeCheckpoint{
+	return CumulativeCheckpoint{
 		Cont:               c.cont.Checkpoint(),
-		Round:              c.round,
-		Loads:              make([]int64, len(c.x)),
-		Sent:               make([]int64, len(c.sent)),
-		CumFlows:           make([]float64, len(c.cumFlows)),
+		Loads:              slices.Clone(c.x),
+		Sent:               slices.Clone(c.sent),
+		CumFlows:           slices.Clone(c.cumFlows),
 		MinTransient:       c.minTransient,
 		MinTransientSet:    c.minTransientSet,
 		NegTransientRounds: c.negTransientRounds,
 	}
-	copy(cp.Loads, c.x)
-	copy(cp.Sent, c.sent)
-	copy(cp.CumFlows, c.cumFlows)
-	return cp
 }
 
 // Restore replaces the process state with a checkpoint taken from a process
@@ -252,7 +242,6 @@ func (c *CumulativeDiscrete) Restore(cp CumulativeCheckpoint) error {
 	if err := c.cont.Restore(cp.Cont); err != nil {
 		return err
 	}
-	c.round = cp.Round
 	copy(c.x, cp.Loads)
 	copy(c.sent, cp.Sent)
 	copy(c.cumFlows, cp.CumFlows)
@@ -264,5 +253,5 @@ func (c *CumulativeDiscrete) Restore(cp CumulativeCheckpoint) error {
 
 // TotalLoad returns Σ x_i (conserved exactly).
 func (c *CumulativeDiscrete) TotalLoad() int64 {
-	return shard.SumInt64(c.lay, c.x)
+	return shard.SumInt64(c.cont.lay, c.x)
 }

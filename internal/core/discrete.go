@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
-	"diffusionlb/internal/hetero"
 	"diffusionlb/internal/randx"
 	"diffusionlb/internal/shard"
-	"diffusionlb/internal/spectral"
 )
 
 // Discrete is a discrete diffusion process: loads are atomic int64 tokens.
@@ -42,16 +41,10 @@ import (
 // subtracts them from the remote arcs, so the SOS memory of a cut arc is
 // "sent − credited" — in barrier mode exactly the shared engine's flow.
 type Discrete struct {
-	//lint:allow checkpointsync operator state is replayed by the resuming driver, see Checkpoint.Retargets
-	op      *spectral.Operator
-	kind    Kind
-	beta    float64
+	roundState // operator, scheme, round counters and latched round parameters
+
 	rounder Rounder
 	seed    uint64
-	lay     *shard.Layout
-	// CSR views, fixed for the life of the process (Retarget requires the
-	// same graph shape and the layout pins the graph identity).
-	offsets, arcs []int32
 	// heads and mates are the halo view the arc loops index z and the mate
 	// write through: the graph's arcs and mate on the shared engine, the
 	// ghost-slot and self-mate maps on a halo engine (see NewHalo).
@@ -71,20 +64,15 @@ type Discrete struct {
 	// sched is ScheduledFlows' per-arc result, allocated by its first call
 	// and refilled by every call; the round pass keeps no per-arc Ŷ.
 	sched []float64 //lint:allow checkpointsync observer buffer, recomputed from the last round's inputs on every ScheduledFlows call
-	// flowsValid mirrors Continuous: SOS memory validity.
-	flowsValid bool
 
-	round              int
-	minTransient       int64
-	minTransientSet    bool
-	negTransientRounds int
-	minEndOfRound      int64 // minimum end-of-round load ever observed
-	minEndSet          bool
-	tokensMoved        int64 // Σ over rounds of all positive flows
-	edgeMessages       int64 // directed transfers (arcs with positive flow)
-	injectedTokens     int64 // Σ of positive Inject deltas (arrivals)
-	removedTokens      int64 // Σ of negative Inject deltas (departures)
-	retargetCount      int   // number of Retarget calls (speed events)
+	minTransient    int64
+	minTransientSet bool
+	minEndOfRound   int64 // minimum end-of-round load ever observed
+	minEndSet       bool
+	tokensMoved     int64 // Σ over rounds of all positive flows
+	edgeMessages    int64 // directed transfers (arcs with positive flow)
+	injectedTokens  int64 // Σ of positive Inject deltas (arrivals)
+	removedTokens   int64 // Σ of negative Inject deltas (departures)
 
 	// Per-shard scratch and reduction slots, sized by the layout's shard
 	// count at construction so Step never allocates.
@@ -94,18 +82,10 @@ type Discrete struct {
 	movd []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 	msgs []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 
-	// Round-scoped parameters the pass methods read; set by Step before the
-	// passes run. Keeping the passes as method values bound once at
-	// construction (instead of closures rebuilt per Step) is what makes the
-	// steady-state step path allocation-free.
-	stepSp      *hetero.Speeds //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepAlpha   []float64      //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepHomog   bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSecond  bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepBeta    float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepSigma   float64        //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepPrefix  uint64         //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
-	stepNeedRNG bool           //lint:allow checkpointsync round-scoped parameter, set by Step before the passes run
+	// The rounding streams' round-scoped parameters, latched by beginRound
+	// beside the scheme's (see roundState).
+	stepPrefix  uint64 //lint:allow checkpointsync round-scoped parameter, set by beginRound before the passes run
+	stepNeedRNG bool   //lint:allow checkpointsync round-scoped parameter, set by beginRound before the passes run
 
 	passZFn     func(s, lo, hi int)
 	passRoundFn func(s, lo, hi int)
@@ -185,26 +165,21 @@ func newDiscrete(cfg Config, lay *shard.Layout, rounder Rounder, seed uint64, in
 	maxDeg := g.MaxDegree()
 	k := lay.Shards()
 	d := &Discrete{
-		op:        cfg.Op,
-		kind:      cfg.Kind,
-		beta:      cfg.Beta,
-		rounder:   rounder,
-		seed:      seed,
-		lay:       lay,
-		offsets:   g.Offsets(),
-		arcs:      g.Arcs(),
-		heads:     heads,
-		mates:     mates,
-		credit:    credit,
-		x:         make([]int64, n),
-		flows:     make([]int64, g.NumArcs()),
-		flowsNext: make([]int64, g.NumArcs()),
-		z:         make([]float64, n+ghosts),
-		sh:        make([]discreteShard, k),
-		minT:      make([]int64, k),
-		minE:      make([]int64, k),
-		movd:      make([]int64, k),
-		msgs:      make([]int64, k),
+		roundState: newRoundState(cfg, lay),
+		rounder:    rounder,
+		seed:       seed,
+		heads:      heads,
+		mates:      mates,
+		credit:     credit,
+		x:          make([]int64, n),
+		flows:      make([]int64, g.NumArcs()),
+		flowsNext:  make([]int64, g.NumArcs()),
+		z:          make([]float64, n+ghosts),
+		sh:         make([]discreteShard, k),
+		minT:       make([]int64, k),
+		minE:       make([]int64, k),
+		movd:       make([]int64, k),
+		msgs:       make([]int64, k),
 	}
 	for s := range d.sh {
 		sc := &d.sh[s]
@@ -375,13 +350,7 @@ func (d *Discrete) Step() {
 
 // beginRound latches the round-scoped parameters the passes read.
 func (d *Discrete) beginRound() {
-	sp := speedsOf(d.op)
-	d.stepSp = sp
-	d.stepHomog = sp.IsHomogeneous()
-	d.stepAlpha = d.op.AlphaView()
-	d.stepSecond = d.kind == SOS && d.flowsValid
-	d.stepBeta = d.beta
-	d.stepSigma = d.beta - 1
+	d.latchRound()
 	// The node streams are PCGPair3(seed, round, node); their
 	// (seed, round) prefix is hashed once here.
 	d.stepPrefix = randx.Mix2(d.seed, uint64(d.round))
@@ -409,14 +378,7 @@ func (d *Discrete) endRound() {
 			anyNeg = true
 		}
 	}
-	if anyNeg {
-		d.negTransientRounds++
-	}
-
-	if d.kind == SOS {
-		d.flowsValid = true
-	}
-	d.round++
+	d.closeRound(anyNeg)
 }
 
 // Halo is the transport-side handle of a Discrete built by NewHalo: the
@@ -477,28 +439,6 @@ func (h Halo) Next() []int64 { return h.d.flowsNext }
 // Credit returns the per-node credit PassApply adds to the loads and
 // zeroes.
 func (h Halo) Credit() []int64 { return h.d.credit }
-
-// Round returns the number of completed rounds.
-func (d *Discrete) Round() int { return d.round }
-
-// Kind returns the current scheme order.
-func (d *Discrete) Kind() Kind { return d.kind }
-
-// SetKind switches the scheme for subsequent rounds; switching (back) to
-// SOS restarts its memory with an FOS round.
-func (d *Discrete) SetKind(k Kind) {
-	if k == d.kind {
-		return
-	}
-	d.kind = k
-	d.flowsValid = false
-}
-
-// Operator returns the diffusion operator.
-func (d *Discrete) Operator() *spectral.Operator { return d.op }
-
-// ShardLayout implements Sharded.
-func (d *Discrete) ShardLayout() *shard.Layout { return d.lay }
 
 // Loads returns the current integer load vector.
 func (d *Discrete) Loads() LoadView { return LoadView{Int: d.x} }
@@ -577,39 +517,22 @@ func (d *Discrete) MinTransientInt() (int64, bool) { return d.minTransient, d.mi
 // MinEndOfRound returns the smallest end-of-round load observed so far.
 func (d *Discrete) MinEndOfRound() (int64, bool) { return d.minEndOfRound, d.minEndSet }
 
-// NegativeTransientRounds counts rounds with a negative transient load.
-func (d *Discrete) NegativeTransientRounds() int { return d.negTransientRounds }
-
 // Checkpoint captures the process state needed to resume the run exactly:
-// the current loads, the last round's integer flows (the SOS memory), and
-// the round counter. Diagnostics counters (minima, traffic) are included
-// so a resumed run reports the same aggregates.
+// the round header (see CheckpointHeader), the current loads and the last
+// round's integer flows (the SOS memory). Diagnostics counters (minima,
+// traffic) are included so a resumed run reports the same aggregates.
 type Checkpoint struct {
-	Round              int
-	Kind               Kind
-	FlowsValid         bool
-	Loads              []int64
-	Flows              []int64
-	MinTransient       int64
-	MinTransientSet    bool
-	NegTransientRounds int
-	MinEndOfRound      int64
-	MinEndSet          bool
-	TokensMoved        int64
-	EdgeMessages       int64
-	InjectedTokens     int64
-	RemovedTokens      int64
-	// Retargets counts the operator changes applied before the snapshot, so
-	// a resumed dynamic-environment run reports the same diagnostics. The
-	// operator state itself is NOT captured: the resuming driver replays the
-	// deterministic speed trajectory (or re-applies the effective speeds)
-	// before continuing.
-	Retargets int
-	// Beta is the second-order parameter at the snapshot, so a run cut
-	// after a β re-optimization resumes with the re-optimized value instead
-	// of the constructor's. Restore ignores a zero value (checkpoints from
-	// older snapshots), keeping the process's current β.
-	Beta float64
+	CheckpointHeader
+	Loads           []int64
+	Flows           []int64
+	MinTransient    int64
+	MinTransientSet bool
+	MinEndOfRound   int64
+	MinEndSet       bool
+	TokensMoved     int64
+	EdgeMessages    int64
+	InjectedTokens  int64
+	RemovedTokens   int64
 }
 
 // Checkpoint returns a deep copy of the resumable state. Combined with the
@@ -617,27 +540,19 @@ type Checkpoint struct {
 // a bit-identical continuation — long paper-scale runs can be split across
 // process lifetimes.
 func (d *Discrete) Checkpoint() Checkpoint {
-	cp := Checkpoint{
-		Round:              d.round,
-		Kind:               d.kind,
-		FlowsValid:         d.flowsValid,
-		Loads:              make([]int64, len(d.x)),
-		Flows:              make([]int64, len(d.flows)),
-		MinTransient:       d.minTransient,
-		MinTransientSet:    d.minTransientSet,
-		NegTransientRounds: d.negTransientRounds,
-		MinEndOfRound:      d.minEndOfRound,
-		MinEndSet:          d.minEndSet,
-		TokensMoved:        d.tokensMoved,
-		EdgeMessages:       d.edgeMessages,
-		InjectedTokens:     d.injectedTokens,
-		RemovedTokens:      d.removedTokens,
-		Retargets:          d.retargetCount,
-		Beta:               d.beta,
+	return Checkpoint{
+		CheckpointHeader: d.roundState.Checkpoint(),
+		Loads:            slices.Clone(d.x),
+		Flows:            slices.Clone(d.flows),
+		MinTransient:     d.minTransient,
+		MinTransientSet:  d.minTransientSet,
+		MinEndOfRound:    d.minEndOfRound,
+		MinEndSet:        d.minEndSet,
+		TokensMoved:      d.tokensMoved,
+		EdgeMessages:     d.edgeMessages,
+		InjectedTokens:   d.injectedTokens,
+		RemovedTokens:    d.removedTokens,
 	}
-	copy(cp.Loads, d.x)
-	copy(cp.Flows, d.flows)
-	return cp
 }
 
 // Restore replaces the process state with a checkpoint taken from a
@@ -648,67 +563,19 @@ func (d *Discrete) Restore(cp Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint shape %d/%d does not match process %d/%d",
 			ErrBadConfig, len(cp.Loads), len(cp.Flows), len(d.x), len(d.flows))
 	}
-	switch cp.Kind {
-	case FOS, SOS:
-	default:
-		return fmt.Errorf("%w: checkpoint has invalid kind %d", ErrBadConfig, int(cp.Kind))
+	if err := d.roundState.Restore(cp.CheckpointHeader); err != nil {
+		return err
 	}
-	if cp.Beta != 0 {
-		if err := betaCheck(cp.Beta); err != nil {
-			return err
-		}
-		d.beta = cp.Beta
-	}
-	d.round = cp.Round
-	d.kind = cp.Kind
-	d.flowsValid = cp.FlowsValid
 	copy(d.x, cp.Loads)
 	copy(d.flows, cp.Flows)
 	d.minTransient = cp.MinTransient
 	d.minTransientSet = cp.MinTransientSet
-	d.negTransientRounds = cp.NegTransientRounds
 	d.minEndOfRound = cp.MinEndOfRound
 	d.minEndSet = cp.MinEndSet
 	d.tokensMoved = cp.TokensMoved
 	d.edgeMessages = cp.EdgeMessages
 	d.injectedTokens = cp.InjectedTokens
 	d.removedTokens = cp.RemovedTokens
-	d.retargetCount = cp.Retargets
-	return nil
-}
-
-// Retarget implements Retargeter: it installs op (over the same graph
-// shape) as the diffusion operator for subsequent rounds. The engine reads
-// α through the operator's shard view every step, so no per-arc copying
-// happens here — a speed event is O(1) on the engine side. Loads, flow
-// memory, the round counter and the rounding streams are untouched — see
-// the interface contract for why this keeps dynamic-environment runs
-// checkpoint/restore safe.
-//
-//lbvet:hotpath speed events are O(1) on the engine side and may fire every round
-func (d *Discrete) Retarget(op *spectral.Operator) error {
-	if err := retargetCheck(op, len(d.x), len(d.flows)); err != nil {
-		return err
-	}
-	d.op = op
-	d.retargetCount++
-	return nil
-}
-
-// Retargets returns the number of operator changes applied so far.
-func (d *Discrete) Retargets() int { return d.retargetCount }
-
-// Beta returns the current second-order parameter β.
-func (d *Discrete) Beta() float64 { return d.beta }
-
-// SetBeta implements BetaSetter: it installs β for subsequent rounds,
-// leaving loads, flow memory, the round counter and the rounding streams
-// untouched.
-func (d *Discrete) SetBeta(beta float64) error {
-	if err := betaCheck(beta); err != nil {
-		return err
-	}
-	d.beta = beta
 	return nil
 }
 
