@@ -92,6 +92,10 @@ func TestRunFreeForm(t *testing.T) {
 		"-rounder", "cumulative", "-rounds", "20"}); err != nil {
 		t.Fatal(err)
 	}
+	// A seed whose first stub matching the swap repair cannot finish.
+	if err := run([]string{"-graph", "regular:4:2", "-seed", "3", "-scheme", "fos", "-rounds", "5"}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBuildSpeeds(t *testing.T) {

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"strings"
@@ -223,9 +224,11 @@ func orient(u, v int32) [2]int32 {
 //
 // The generator pairs stubs uniformly at random and then repairs self-loops
 // and parallel edges by degree-preserving edge swaps with uniformly chosen
-// partner edges, which keeps the graph exactly d-regular. For d = n−1 it
-// returns the complete graph, the only (n−1)-regular simple graph, which
-// the swaps cannot reach.
+// partner edges, which keeps the graph exactly d-regular. A matching whose
+// repair runs out of swap attempts is replaced by a fresh one drawn from the
+// same stream, so every valid shape builds. For d = n−1 it returns the
+// complete graph, the only (n−1)-regular simple graph, which the swaps
+// cannot reach.
 func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	if n < 2 || d < 1 || d >= n || (n*d)%2 != 0 {
 		return nil, fmt.Errorf("graph: RandomRegular(%d,%d): %w", n, d, ErrBadParameter)
@@ -238,9 +241,26 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		return fromEdges(name, n, completeEdges(n))
 	}
 	rng := randx.New(seed)
-
 	stubs := make([]int32, n*d)
-	for i := 0; i < n; i++ {
+	pairs := make([]edge, len(stubs)/2)
+	seen := &edgeSet{d: d, hi: stubs, size: make([]int32, n)} // reuses the paired stubs
+	// A stuck repair is rare (about one seed in a hundred on the small
+	// shapes), and a fresh matching almost always converges.
+	const maxMatchings = 16
+	for range maxMatchings {
+		if edges, ok := regularMatching(rng, stubs, pairs, seen); ok {
+			return fromEdges(name, n, edges)
+		}
+	}
+	return nil, fmt.Errorf("graph: RandomRegular(%d,%d): repair did not converge: %w", n, d, ErrBadParameter)
+}
+
+// regularMatching draws one stub matching from rng and repairs it into a
+// simple graph, reusing stubs, pairs and the set seen; it reports false
+// when the repair runs out of attempts.
+func regularMatching(rng *rand.Rand, stubs []int32, pairs []edge, seen *edgeSet) ([]edge, bool) {
+	d := seen.d
+	for i := range seen.size {
 		for k := 0; k < d; k++ {
 			stubs[i*d+k] = int32(i)
 		}
@@ -253,12 +273,10 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 
 	// Pair consecutive stubs. The first occurrence of each simple pair, in
 	// stream order, becomes an edge; self-loops and repeats are bad.
-	m := len(stubs) / 2
-	pairs := make([]edge, m)
 	for i := range pairs {
 		pairs[i] = orient(stubs[2*i], stubs[2*i+1])
 	}
-	seen := &edgeSet{d: d, hi: stubs, size: make([]int32, n)} // reuses the paired stubs
+	clear(seen.size)
 	edges, bad := seen.split(pairs)
 
 	// Repair pass: each bad pair (u,v) is resolved by picking a random good
@@ -268,7 +286,7 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	attempts := 0
 	for len(bad) > 0 {
 		if attempts++; attempts > maxAttempts || len(edges) == 0 {
-			return nil, fmt.Errorf("graph: RandomRegular(%d,%d): repair did not converge: %w", n, d, ErrBadParameter)
+			return nil, false
 		}
 		e := bad[len(bad)-1]
 		u, v := e[0], e[1]
@@ -290,7 +308,7 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 		edges = append(edges, e2)
 		bad = bad[:len(bad)-1]
 	}
-	return fromEdges(name, n, edges)
+	return edges, true
 }
 
 // edge is an undirected edge {e[0], e[1]}, stored with e[0] <= e[1].
