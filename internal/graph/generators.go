@@ -463,7 +463,9 @@ func RandomGeometric(n int, seed uint64, opts GeometricOptions) (*Graph, []Point
 		next[c]++
 	}
 	r2 := r * r
-	var edges [][2]int32
+	// About n·πr²/2 pairs lie within r (fewer near the border), and never
+	// more than all n(n−1)/2, which a radius wider than the square gives.
+	edges := make([][2]int32, 0, int(min(float64(n)*math.Pi*r2/2, float64(n)*float64(n-1)/2)))
 	for i := 0; i < n; i++ {
 		cx, cy := cellOf(pts[i])
 		for x := max(cx-1, 0); x <= min(cx+1, cells-1); x++ {

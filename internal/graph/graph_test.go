@@ -280,6 +280,10 @@ func TestRandomGeometric(t *testing.T) {
 	if !g3.IsConnected() {
 		t.Error("RGG with huge radius should be connected")
 	}
+	// A radius wider than the square's diagonal joins every pair.
+	if got, want := g3.NumEdges(), 200*199/2; got != want {
+		t.Errorf("RGG with a radius wider than the square has %d edges, want the complete graph's %d", got, want)
+	}
 }
 
 // TestRandomGeometricMatchesAllPairs: the cell search finds exactly the
