@@ -55,21 +55,18 @@ race:
 verify: verify-static fma-check build test-short race
 	@echo verify OK
 
-# fma-check keeps the engine's floating point the same on every
-# architecture. On arm64 the Go compiler may fuse x*y + z into one
-# multiply-add that rounds once, where amd64 rounds the product first, so
-# Ŷ could differ in its last bit from the goldens, which are recorded on
-# amd64. An explicit float64(x*y) rounds the product and stops the fusion.
-# The target compiles the engines (core, actor), the runner that observes
-# them (sim), the operator and power iteration (spectral), the graph
-# generators (graph: rgg decides its edges by a squared distance) and the
-# paper's bounds and Lemma 2 check (divergence) for arm64 with -S and
-# fails, naming file:line, on any fused multiply-add in their assembly,
-# whatever source file it comes from: a generic function of
-# another package (such as metrics.Potential, which core's switch policies
-# call) is compiled into the package that instantiates it, and an inlined
-# call into its caller.
-FMA_PKGS = ./internal/core ./internal/actor ./internal/sim ./internal/spectral ./internal/graph ./internal/divergence
+# fma-check keeps the floating point the same on every architecture. On
+# arm64 the Go compiler may fuse x*y + z into one multiply-add that rounds
+# once, where amd64 rounds the product first, so Ŷ, a speed draw or an
+# eigenvalue could differ in its last bit from the goldens, which are
+# recorded on amd64. An explicit float64(x*y) rounds the product and stops
+# the fusion. The target compiles every package under internal/ for arm64
+# with -S, so a new package is checked without editing a list, and fails,
+# naming file:line, on any fused multiply-add in their assembly, whatever
+# source file it comes from: a generic function of another package (such
+# as metrics.Potential, which core's switch policies call) is compiled into
+# the package that instantiates it, and an inlined call into its caller.
+FMA_PKGS = ./internal/...
 fma-check:
 	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { printf '%s\n' "$$asm"; exit 1; }; \
 	printf '%s\n' "$$asm" | grep -q 'core\.(\*Discrete)\.passRound STEXT' || { echo "fma-check: no arm64 assembly for passRound"; exit 1; }; \

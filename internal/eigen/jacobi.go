@@ -59,7 +59,7 @@ func (d *Decomposition) Coefficients(x []float64) ([]float64, error) {
 	for k := 0; k < n; k++ {
 		var s float64
 		for i := 0; i < n; i++ {
-			s += d.Vectors.At(i, k) * x[i]
+			s += float64(d.Vectors.At(i, k) * x[i]) // no fused multiply-add (make fma-check)
 		}
 		a[k] = s
 	}
@@ -96,7 +96,7 @@ func Jacobi(a *numeric.Dense, tol float64, maxSweeps int) (*Decomposition, error
 		var s float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				s += m.At(i, j) * m.At(i, j)
+				s += float64(m.At(i, j) * m.At(i, j))
 			}
 		}
 		return math.Sqrt(2 * s)
@@ -114,32 +114,34 @@ func Jacobi(a *numeric.Dense, tol float64, maxSweeps int) (*Decomposition, error
 				}
 				app, aqq := m.At(p, p), m.At(q, q)
 				// Stable rotation angle computation (Golub & Van Loan).
+				// float64(...) rounds each product, so arm64 does not fuse
+				// it into a multiply-add (make fma-check).
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 
 				// Apply the rotation G(p,q,θ) on both sides of m and
 				// accumulate it into v.
 				for k := 0; k < n; k++ {
 					mkp, mkq := m.At(k, p), m.At(k, q)
-					m.Set(k, p, c*mkp-s*mkq)
-					m.Set(k, q, s*mkp+c*mkq)
+					m.Set(k, p, float64(c*mkp)-float64(s*mkq))
+					m.Set(k, q, float64(s*mkp)+float64(c*mkq))
 				}
 				for k := 0; k < n; k++ {
 					mpk, mqk := m.At(p, k), m.At(q, k)
-					m.Set(p, k, c*mpk-s*mqk)
-					m.Set(q, k, s*mpk+c*mqk)
+					m.Set(p, k, float64(c*mpk)-float64(s*mqk))
+					m.Set(q, k, float64(s*mpk)+float64(c*mqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}

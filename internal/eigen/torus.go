@@ -58,8 +58,11 @@ func NewTorusBasis(w, h int) (*TorusBasis, error) {
 	for kx := 0; kx < w; kx++ {
 		b.mu[kx] = make([]float64, h)
 		for ky := 0; ky < h; ky++ {
-			b.mu[kx][ky] = 1 - (2.0/5.0)*(2-math.Cos(2*math.Pi*float64(modeFreq(kx, w))/float64(w))-
-				math.Cos(2*math.Pi*float64(modeFreq(ky, h))/float64(h)))
+			// float64(...) rounds the product, so arm64 does not fuse it
+			// into a multiply-add (make fma-check); the transforms below
+			// round theirs the same way.
+			b.mu[kx][ky] = 1 - float64((2.0/5.0)*(2-math.Cos(2*math.Pi*float64(modeFreq(kx, w))/float64(w))-
+				math.Cos(2*math.Pi*float64(modeFreq(ky, h))/float64(h))))
 		}
 	}
 	b.order = make([]TorusMode, 0, w*h)
@@ -167,7 +170,7 @@ func (b *TorusBasis) Coefficients(x []float64) ([][]float64, error) {
 			mode := b.rowModes[kx]
 			var s float64
 			for xx, v := range row {
-				s += v * mode[xx]
+				s += float64(v * mode[xx])
 			}
 			b.tmp[y][kx] = s
 		}
@@ -185,7 +188,7 @@ func (b *TorusBasis) Coefficients(x []float64) ([][]float64, error) {
 				continue
 			}
 			for kx := 0; kx < b.w; kx++ {
-				coeffs[kx][ky] += b.tmp[y][kx] * f
+				coeffs[kx][ky] += float64(b.tmp[y][kx] * f)
 			}
 		}
 	}
@@ -250,7 +253,7 @@ func (b *TorusBasis) Reconstruct(coeffs [][]float64) ([]float64, error) {
 				continue
 			}
 			for kx := 0; kx < b.w; kx++ {
-				tmp2[y][kx] += coeffs[kx][ky] * f
+				tmp2[y][kx] += float64(coeffs[kx][ky] * f)
 			}
 		}
 	}
@@ -258,7 +261,7 @@ func (b *TorusBasis) Reconstruct(coeffs [][]float64) ([]float64, error) {
 		for xx := 0; xx < b.w; xx++ {
 			var s float64
 			for kx := 0; kx < b.w; kx++ {
-				s += tmp2[y][kx] * b.rowModes[kx][xx]
+				s += float64(tmp2[y][kx] * b.rowModes[kx][xx])
 			}
 			out[y*b.w+xx] = s
 		}

@@ -612,7 +612,9 @@ func ErdosRenyi(n int, p float64, seed uint64) (*Graph, error) {
 	for {
 		var skip int64
 		if p < 1 {
-			skip = int64(math.Log(1-rng.Float64()) / logq)
+			// float64(...) rounds Float64's scaling product, so arm64 does
+			// not fuse it into 1−u (make fma-check).
+			skip = int64(math.Log(1-float64(rng.Float64())) / logq)
 		}
 		idx += skip + 1
 		if idx >= total {

@@ -187,7 +187,7 @@ func UniformRange(n int, maxSpeed float64, seed uint64) (*Speeds, error) {
 	rng := randx.New(seed)
 	s := make([]float64, n)
 	for i := range s {
-		s[i] = 1 + rng.Float64()*(maxSpeed-1)
+		s[i] = 1 + float64(rng.Float64()*(maxSpeed-1)) // no fused multiply-add on arm64 (make fma-check)
 	}
 	return New(s)
 }
@@ -204,7 +204,7 @@ func PowerLaw(n int, alpha, maxSpeed float64, seed uint64) (*Speeds, error) {
 	// Inverse-CDF sampling of a Pareto(alpha) truncated to [1, maxSpeed].
 	hMax := 1 - math.Pow(maxSpeed, 1-alpha)
 	for i := range s {
-		u := rng.Float64() * hMax
+		u := float64(rng.Float64() * hMax) // no fused multiply-add with 1−u on arm64 (make fma-check)
 		s[i] = math.Pow(1-u, 1/(1-alpha))
 		if s[i] > maxSpeed {
 			s[i] = maxSpeed

@@ -41,7 +41,7 @@ const saltSelect = 0x73656c_6563_0001 // "select"
 // base is the immutable base speed assignment (nil means homogeneous, where
 // fast/slow degenerate to the lowest indices).
 func Pick(base *hetero.Speeds, n int, frac float64, sel string, seed uint64) []int {
-	k := int(frac*float64(n) + 0.5)
+	k := int(float64(frac*float64(n)) + 0.5) // no fused multiply-add on arm64 (make fma-check)
 	if k < 1 {
 		k = 1
 	}

@@ -25,7 +25,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i]) // no fused multiply-add on arm64 (make fma-check)
 	}
 	return s
 }
@@ -71,7 +71,7 @@ func AXPY(a float64, x, y []float64) {
 		panic(fmt.Sprintf("numeric: AXPY length mismatch %d != %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v) // no fused multiply-add on arm64 (make fma-check)
 	}
 }
 
@@ -162,7 +162,7 @@ func (m *Dense) MulVec(v, dst []float64) ([]float64, error) {
 		row := m.Row(i)
 		var s float64
 		for j, a := range row {
-			s += a * v[j]
+			s += float64(a * v[j]) // no fused multiply-add on arm64 (make fma-check)
 		}
 		dst[i] = s
 	}
@@ -185,7 +185,7 @@ func Mul(a, b *Dense) (*Dense, error) {
 			}
 			brow := b.Row(k)
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv) // no fused multiply-add on arm64 (make fma-check)
 			}
 		}
 	}
@@ -200,7 +200,7 @@ func AddScaled(x *Dense, alpha float64, y *Dense) (*Dense, error) {
 	}
 	c := NewDense(x.Rows, x.Cols)
 	for i, v := range x.Data {
-		c.Data[i] = v + alpha*y.Data[i]
+		c.Data[i] = v + float64(alpha*y.Data[i]) // no fused multiply-add on arm64 (make fma-check)
 	}
 	return c, nil
 }

@@ -141,7 +141,7 @@ func aggregateGroup(spec Spec, c Cell, reps []*sim.Series, switches [][]core.Swi
 				var sq float64
 				for _, s := range reps {
 					d := s.Row(row)[col] - mean
-					sq += d * d
+					sq += float64(d * d) // no fused multiply-add on arm64 (make fma-check)
 				}
 				std = math.Sqrt(sq / float64(len(reps)-1))
 			}

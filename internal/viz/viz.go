@@ -95,7 +95,7 @@ func Render[T int64 | float64](x []T, w, h int, mode Shading, limit float64) (*F
 // gray maps a normalized deviation d ∈ [0, 1] to a gray level
 // (0 deviation = white 255, full deviation = black 0).
 func gray(d float64) uint8 {
-	v := 255 * (1 - d)
+	v := float64(255 * (1 - d)) // no fused multiply-add with v + 0.5 on arm64 (make fma-check)
 	if v < 0 {
 		return 0
 	}
