@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"diffusionlb"
+	"diffusionlb/internal/sim"
 )
 
 func main() {
@@ -61,9 +62,12 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown shading %q", *shading)
 	}
-	kind := diffusionlb.SOS
-	if strings.EqualFold(*scheme, "fos") {
-		kind = diffusionlb.FOS
+	kind, err := sim.ParseScheme(*scheme)
+	if err != nil {
+		return fmt.Errorf("-scheme: %w", err)
+	}
+	if *switchAt < 0 {
+		return fmt.Errorf("-switch: negative round %d (0 = never)", *switchAt)
 	}
 
 	g, err := diffusionlb.Torus2D(*side, *side)

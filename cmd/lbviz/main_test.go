@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +47,20 @@ func TestRunValidation(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+	// An unknown scheme and a negative switch round are rejected before
+	// anything runs, with the flag named.
+	for _, args := range [][]string{{"-scheme", "xyz"}, {"-switch", "-5"}} {
+		err := run(append(args, "-out", t.TempDir()))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+":") {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+	// The scheme is read in any case.
+	for _, scheme := range []string{"FOS", "Sos"} {
+		if err := run([]string{"-side", "8", "-frames", "2", "-out", t.TempDir(), "-ascii=false", "-scheme", scheme}); err != nil {
+			t.Errorf("-scheme %s: %v", scheme, err)
 		}
 	}
 }
