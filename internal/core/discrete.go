@@ -82,8 +82,6 @@ type Discrete struct {
 	movd []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 	msgs []int64 //lint:allow checkpointsync per-round reduction slot, overwritten by every Step
 
-	// The rounding streams' round-scoped parameters, latched by beginRound
-	// beside the scheme's (see roundState).
 	stepPrefix  uint64 //lint:allow checkpointsync round-scoped parameter, set by beginRound before the passes run
 	stepNeedRNG bool   //lint:allow checkpointsync round-scoped parameter, set by beginRound before the passes run
 
