@@ -119,15 +119,14 @@ bench-smoke:
 	DIFFUSIONLB_SCALE_N=16384 $(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
 
 # bench-scale measures the step path at paper scale (override BENCH_N,
-# e.g. BENCH_N=4194304) and writes BENCH_10.json: node-updates/sec,
-# bytes/node and allocs/round for FOS and SOS on a 2-d torus and a
-# random-regular graph — on the shared-memory engine, the barrier actor
-# runtime and the stale=2 actor runtime, each cell the median of 3 repeats
-# with telemetry-off/on twin rows. See README "Memory layout & scale".
+# e.g. BENCH_N=4194304) with the BenchmarkScale grid: node-updates/s,
+# B/node and allocs/op for FOS and SOS on a 2-d torus and a random-regular
+# graph, on the shared engine, the barrier actor runtime and the stale=2
+# actor runtime, each with telemetry off and on, three runs per cell. See
+# README "Memory layout & scale".
 BENCH_N ?= 1048576
-BENCH_OUT ?= BENCH_10.json
 bench-scale:
-	$(GO) run ./cmd/lbbench -n $(BENCH_N) -compare-telemetry -out $(BENCH_OUT)
+	DIFFUSIONLB_SCALE_N=$(BENCH_N) $(GO) test -run '^$$' -bench '^BenchmarkScale' -count 3 .
 
 # perfbench-check vets and tests the end-to-end benchmark (perfbench/), a
 # module of its own that the root ./... patterns never compile. It builds

@@ -143,7 +143,6 @@ func TestSuiteScoping(t *testing.T) {
 		{"nodeterminism", "diffusionlb/internal/core", true},
 		{"nodeterminism", "diffusionlb/internal/experiments", false},
 		{"nodeterminism", "diffusionlb/cmd/lbsim", true},
-		{"nodeterminism", "diffusionlb/internal/scalebench", true},
 		{"nodeterminism", "diffusionlb/internal/analysis/driver", true},
 		{"goroutineleak", "diffusionlb/internal/sweep", true},
 		{"goroutineleak", "diffusionlb/internal/actor", true},
@@ -162,14 +161,13 @@ func TestSuiteScoping(t *testing.T) {
 		{"hotalloc", "diffusionlb/internal/metrics", true},
 		{"checkpointsync", "diffusionlb/internal/core", true},
 		// telemetryread binds the engines only; the telemetry package itself
-		// and the wiring layers legitimately read state back (exposition,
-		// benchmark comparisons) — but telemetry does sit inside the
-		// nodeterminism net, with //lint:allow on its clock reads.
+		// and the wiring layers legitimately read state back (exposition) —
+		// but telemetry does sit inside the nodeterminism net, with
+		// //lint:allow on its clock reads.
 		{"telemetryread", "diffusionlb/internal/core", true},
 		{"telemetryread", "diffusionlb/internal/sim", true},
 		{"telemetryread", "diffusionlb/internal/actor", true},
 		{"telemetryread", "diffusionlb/internal/telemetry", false},
-		{"telemetryread", "diffusionlb/internal/scalebench", false},
 		{"telemetryread", "diffusionlb/cmd/lbsim", false},
 		{"nodeterminism", "diffusionlb/internal/telemetry", true},
 		{"goroutineleak", "diffusionlb/internal/telemetry", true},

@@ -54,13 +54,12 @@ var enginePackages = []string{
 }
 
 // determinismExtra widens the nodeterminism/goroutineleak net beyond the
-// engines: the benchmark harness, the runtime-invariant layer, the telemetry
-// layer, the analysis suite itself (self-clean), and every cmd/ binary.
-// These layers may legitimately read clocks (a benchmark measures wall time,
-// a round-latency histogram needs time.Since) — such reads carry
-// //lint:allow justifications instead of living outside the scope.
+// engines: the runtime-invariant layer, the telemetry layer, the analysis
+// suite itself (self-clean), and every cmd/ binary. These layers may
+// legitimately read clocks (a round-latency histogram needs time.Since) —
+// such reads carry //lint:allow justifications instead of living outside
+// the scope.
 var determinismExtra = []string{
-	"diffusionlb/internal/scalebench",
 	"diffusionlb/internal/invariants",
 	"diffusionlb/internal/telemetry",
 	"diffusionlb/internal/analysis",
@@ -108,7 +107,7 @@ func Suite() []Scoped {
 		{HotAlloc, func(string) bool { return true }},
 		{CheckpointSync, func(string) bool { return true }},
 		// telemetryread binds exactly the engines: the telemetry package and
-		// the wiring layers (cmd/, scalebench) are where read-backs belong.
+		// the wiring layers (cmd/) are where read-backs belong.
 		{TelemetryRead, inEngine},
 	}
 }

@@ -429,6 +429,33 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
+	// The homogeneous kernel path on an expander, as the scale benchmarks'
+	// shared cells step it.
+	t.Run("discrete-regular-homogeneous", func(t *testing.T) {
+		rr, err := graph.RandomRegular(4096, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := spectral.NewOperator(rr, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]int64, rr.NumNodes())
+		for i := range x {
+			x[i] = int64((i*i)%257) * 4
+		}
+		for _, kind := range []Kind{FOS, SOS} {
+			d, err := NewDiscrete(Config{Op: op, Kind: kind, Beta: 1.9, Workers: 1}, RandomizedRounder{}, 1, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Step()
+			d.Step()
+			if allocs := testing.AllocsPerRun(20, d.Step); allocs != 0 {
+				t.Errorf("%s: steady-state Step allocates %.1f objects/round, want 0", kind, allocs)
+			}
+		}
+	})
 }
 
 // TestRetargetAllocFree pins the satellite's O(1) retarget contract: with

@@ -2,8 +2,7 @@
 // lock-cheap metrics registry (counters, gauges, fixed-bucket histograms),
 // a structured trace of run lifecycle events, and an HTTP exposition
 // surface (Prometheus text format, JSON snapshot, net/http/pprof) that any
-// long-running process — lbsim, lbbench, the future lbserve daemon — can
-// embed.
+// long-running process — lbsim, the future lbserve daemon — can embed.
 //
 // Determinism contract. Telemetry is write-only from the simulation's point
 // of view: engine, runner and runtime code may *record* into preregistered
