@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -51,7 +52,7 @@ func run(args []string) error {
 
 	frameRounds, err := parseFrames(*frames)
 	if err != nil {
-		return err
+		return fmt.Errorf("-frames: %w", err)
 	}
 	var mode diffusionlb.Shading
 	switch *shading {
@@ -60,7 +61,7 @@ func run(args []string) error {
 	case "threshold":
 		mode = diffusionlb.ShadeThreshold
 	default:
-		return fmt.Errorf("unknown shading %q", *shading)
+		return fmt.Errorf("-shading: unknown shading %q (adaptive|threshold)", *shading)
 	}
 	kind, err := sim.ParseScheme(*scheme)
 	if err != nil {
@@ -68,6 +69,15 @@ func run(args []string) error {
 	}
 	if *switchAt < 0 {
 		return fmt.Errorf("-switch: negative round %d (0 = never)", *switchAt)
+	}
+	if *side < 2 {
+		return fmt.Errorf("-side: %d, want at least 2", *side)
+	}
+	// The run starts with avg·side² tokens on node 0. Dividing by side twice
+	// finds the largest avg for which that fits in int64 without forming
+	// side², which can wrap itself.
+	if maxAvg := math.MaxInt64 / int64(*side) / int64(*side); *avg < 0 || *avg > maxAvg {
+		return fmt.Errorf("-avg: %d outside [0, %d], where avg·side² fits in int64", *avg, maxAvg)
 	}
 
 	g, err := diffusionlb.Torus2D(*side, *side)
@@ -132,7 +142,7 @@ func parseFrames(s string) ([]int, error) {
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v <= prev {
-			return nil, fmt.Errorf("frames must be increasing positive rounds, got %q", s)
+			return nil, fmt.Errorf("want increasing positive rounds, got %q", s)
 		}
 		out = append(out, v)
 		prev = v

@@ -40,22 +40,28 @@ func TestRunRendersFrames(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	cases := [][]string{
+	// A bad flag is rejected before anything runs, with the flag named. On
+	// an 8×8 torus avg·64 fits in int64 up to avg = 2^57−1; 2^58+1 would
+	// wrap to a 64-token run.
+	for _, args := range [][]string{
 		{"-frames", "10,5"},
 		{"-shading", "psychedelic"},
-	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("run(%v) should fail", args)
-		}
-	}
-	// An unknown scheme and a negative switch round are rejected before
-	// anything runs, with the flag named.
-	for _, args := range [][]string{{"-scheme", "xyz"}, {"-switch", "-5"}} {
+		{"-scheme", "xyz"},
+		{"-switch", "-5"},
+		{"-side", "0"},
+		{"-side", "1"},
+		{"-avg", "-5", "-side", "8"},
+		{"-avg", "144115188075855872", "-side", "8"},
+		{"-avg", "288230376151711745", "-side", "8"},
+	} {
 		err := run(append(args, "-out", t.TempDir()))
 		if err == nil || !strings.HasPrefix(err.Error(), args[0]+":") {
 			t.Errorf("run(%v) = %v, want an error naming %s", args, err, args[0])
 		}
+	}
+	// The largest avg that fits still runs.
+	if err := run([]string{"-side", "8", "-frames", "1", "-out", t.TempDir(), "-ascii=false", "-avg", "144115188075855871"}); err != nil {
+		t.Errorf("-avg 2^57-1 on an 8×8 torus: %v", err)
 	}
 	// The scheme is read in any case.
 	for _, scheme := range []string{"FOS", "Sos"} {
