@@ -217,6 +217,9 @@ func run(args []string) error {
 			TableRows:   *tableRows,
 		}
 		if fs.Lookup("rounds") != nil && flagWasSet(fs, "rounds") {
+			if *rounds < 0 {
+				return fmt.Errorf("-rounds: %d, want >= 0 (0 = each experiment's default)", *rounds)
+			}
 			p.RoundsOverride = *rounds
 		}
 		if *experiment == "all" {

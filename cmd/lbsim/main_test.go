@@ -163,6 +163,9 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", "torus2d:4x4", "-workload", "tsunami:9"},
 		{"-graph", "torus2d:4x4", "-workload", "burst:5:10:99"},
 		{"-sweep", "-graph", "cycle:8", "-workload", "hotspot:0:5"},
+		{"-graph", "cycle:8", "-scheme", "fos", "-rounds", "4", "-every", "-5"},
+		{"-sweep", "-graph", "cycle:8", "-scheme", "fos", "-rounds", "4", "-every", "-5", "-format", "csv"},
+		{"-experiment", "negload", "-rounds", "-5"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -133,9 +133,9 @@ func (r RunSpec) Validate() error {
 		return fmt.Errorf("beta re-opt threshold %g needs an env or a scenario: without speed events it never fires", r.BetaReopt)
 	case r.Beta < 0 || r.Beta >= 2: // 0 selects β_opt; SOS needs β inside (0, 2)
 		return fmt.Errorf("beta %g outside [0, 2)", r.Beta)
-	case r.Avg < 0 || r.BetaReopt < 0 || r.StepWorkers < 0 || r.Rounds < 0:
-		return fmt.Errorf("avg %d, beta re-opt threshold %g, step workers %d and rounds %d must all be >= 0",
-			r.Avg, r.BetaReopt, r.StepWorkers, r.Rounds)
+	case r.Avg < 0 || r.BetaReopt < 0 || r.StepWorkers < 0 || r.Rounds < 0 || r.Every < 0:
+		return fmt.Errorf("avg %d, beta re-opt threshold %g, step workers %d, rounds %d and every %d must all be >= 0",
+			r.Avg, r.BetaReopt, r.StepWorkers, r.Rounds, r.Every)
 	}
 	return nil
 }

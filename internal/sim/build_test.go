@@ -120,6 +120,7 @@ func TestRunSpecValidate(t *testing.T) {
 		{"betareopt-static", func(r *RunSpec) { r.BetaReopt = 0.05 }, nil},
 		{"stepworkers", func(r *RunSpec) { r.StepWorkers = -1 }, nil},
 		{"rounds", func(r *RunSpec) { r.Rounds = -1 }, nil},
+		{"every", func(r *RunSpec) { r.Every = -5 }, nil},
 	}
 	for _, tc := range cases {
 		spec := testRunSpec()

@@ -75,7 +75,8 @@ type Spec struct {
 	Replicates int `json:"replicates"`
 	// Rounds is the per-cell round budget. Required.
 	Rounds int `json:"rounds"`
-	// Every is the recording cadence (default max(1, Rounds/100)).
+	// Every is the recording cadence (0 = the default max(1, Rounds/100);
+	// negative is rejected).
 	Every int `json:"every"`
 	// Avg is the average initial load, placed entirely on node 0
 	// (default 1000).
@@ -118,7 +119,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Replicates == 0 {
 		s.Replicates = 1
 	}
-	if s.Every <= 0 {
+	if s.Every == 0 {
 		s.Every = s.Rounds / 100
 		if s.Every < 1 {
 			s.Every = 1
@@ -134,10 +135,10 @@ func (s Spec) withDefaults() Spec {
 }
 
 // validate rejects a malformed spec before any cell runs: the spec needs a
-// graph, a scheme, a round budget and a non-negative replicate count, and
-// every expanded cell must pass sim.RunSpec.Validate. Graph and speeds
-// specs are checked when their systems are built, which is still before
-// any cell runs.
+// graph, a scheme, a round budget and a non-negative replicate count and
+// cadence, and every expanded cell must pass sim.RunSpec.Validate. Graph
+// and speeds specs are checked when their systems are built, which is
+// still before any cell runs.
 func (s Spec) validate() error {
 	if len(s.Graphs) == 0 {
 		return fmt.Errorf("sweep: spec needs at least one graph")
@@ -150,6 +151,9 @@ func (s Spec) validate() error {
 	}
 	if s.Replicates < 0 {
 		return fmt.Errorf("sweep: spec needs Replicates >= 0, got %d", s.Replicates)
+	}
+	if s.Every < 0 {
+		return fmt.Errorf("sweep: spec needs Every >= 0, got %d", s.Every)
 	}
 	for _, c := range s.Expand() {
 		if err := cellSpec(s, c).Validate(); err != nil {

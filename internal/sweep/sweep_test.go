@@ -161,6 +161,8 @@ func TestSpecValidation(t *testing.T) {
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Policies: []string{"warp:9"}},
 		// 0 replicates means the default 1; a negative count is a typo.
 		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Replicates: -3},
+		// 0 means the automatic cadence; a negative one is a typo too.
+		{Graphs: []string{"cycle:8"}, Schemes: []string{"sos"}, Rounds: 10, Every: -5},
 	}
 	for i, s := range bad {
 		if _, err := Run(context.Background(), s, Options{}); err == nil {
